@@ -55,7 +55,6 @@ from .monomials import (
     VariableUniverse,
     canonical_key,
     colon,
-    compare,
     component,
     cover_ideal,
     minimalize,

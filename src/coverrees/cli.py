@@ -283,9 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="D",
         help="abort basis computations past this total degree",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="reserved for randomized corpora; recorded only"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("covers", help="minimal vertex covers, lex-descending by cover monomial")
@@ -326,7 +323,7 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -455,6 +455,10 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def graph_from_json(text: str) -> Graph:
     try:
         doc = json.loads(text)
@@ -464,16 +468,18 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError("graph JSON needs a 'vertices' list")
     vertices = doc["vertices"]
     edges = doc.get("edges", [])
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if not _is_label_list(vertices):
         raise ValueError("'vertices' must be a list of labels")
     if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 for e in edges
+        isinstance(e, list) and len(e) == 2 and _is_label_list(e) for e in edges
     ):
         raise ValueError("'edges' must be a list of label pairs")
     parts = None
     if "parts" in doc:
         p = doc["parts"]
-        if not isinstance(p, dict) or set(p) != {"X", "Y"}:
+        if not isinstance(p, dict) or set(p) != {"X", "Y"} or not all(
+            _is_label_list(p[side]) for side in ("X", "Y")
+        ):
             raise ValueError("'parts' must map X and Y to label lists")
         parts = (p["X"], p["Y"])
     return build_graph(vertices, [tuple(e) for e in edges], parts)

@@ -3,20 +3,22 @@
 A universe declares up to three disjoint, internally ordered variable
 blocks: the polynomial-ring block (graph vertices; sequence order is the
 lex priority, highest first), an adjoined block ``y1 > y2 > ...`` used to
-present Rees algebras, and an optional elimination variable.  Monomials
-are immutable sparse exponent maps over one universe.
+present Rees algebras, and an optional elimination variable ``t``.  A
+monomial stores its exponents once, as a dense tuple laid out
+``(t, y1, ..., yq, s1, ..., sn)``; arithmetic is element-wise on it.
 
-All orders are pure lexicographic within a block.  The composite orders
-compare blockwise: ``sharp`` compares the y-block first and breaks ties
-on the base block; ``elim_sharp`` compares the elimination variable
-before everything else, so that restricted to elimination-free monomials
-it coincides with ``sharp``.
+Every order is lex on a slice of that tuple: ``lex_on_s`` and
+``lex_on_y`` take one block, ``sharp`` drops ``t`` (the y-block decides
+first, the base block breaks ties) and ``elim_sharp`` is the whole tuple,
+so it compares the elimination variable before everything else and
+coincides with ``sharp`` on elimination-free monomials.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import combinations_with_replacement
+from operator import add, le, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "LEX_ON_Y",
     "SHARP",
     "ELIM_SHARP",
-    "compare",
     "colon",
     "minimalize",
     "cover_ideal",
@@ -45,9 +46,11 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
 class VariableUniverse:
-    """Declared variable blocks; the sequence order is the priority."""
+    """Declared variable blocks; the sequence order is the priority.
 
-    __slots__ = ("s_vars", "y_vars", "elim_var", "_blocks")
+    ``t_block``, ``y_block`` and ``s_block`` slice a monomial's exponent
+    tuple; ``order_slices`` maps each order kind to the slice it compares.
+    """
 
     def __init__(
         self,
@@ -58,51 +61,53 @@ class VariableUniverse:
         self.s_vars = tuple(s_vars)
         self.y_vars = tuple(y_vars)
         self.elim_var = elim_var
-        blocks: dict[str, str] = {}
-        for block, names in (("s", self.s_vars), ("y", self.y_vars)):
-            for name in names:
-                if not _NAME_RE.match(name):
-                    raise ValueError(f"bad variable name {name!r}")
-                if name in blocks:
-                    raise ValueError(f"duplicate variable {name!r}")
-                blocks[name] = block
-        if elim_var is not None:
-            if not _NAME_RE.match(elim_var):
-                raise ValueError(f"bad variable name {elim_var!r}")
-            if elim_var in blocks:
-                raise ValueError(f"duplicate variable {elim_var!r}")
-            blocks[elim_var] = "t"
-        self._blocks = blocks
+        t_vars = (elim_var,) if elim_var is not None else ()
+        index: dict[str, int] = {}
+        for name in t_vars + self.y_vars + self.s_vars:
+            if not _NAME_RE.match(name):
+                raise ValueError(f"bad variable name {name!r}")
+            if name in index:
+                raise ValueError(f"duplicate variable {name!r}")
+            index[name] = len(index)
+        self._index = index
+        self.all_vars = self.s_vars + self.y_vars + t_vars
+        self._display = tuple((name, index[name]) for name in self.all_vars)
+        y_start = len(t_vars)
+        s_start = y_start + len(self.y_vars)
+        self.t_block = slice(0, y_start)
+        self.y_block = slice(y_start, s_start)
+        self.s_block = slice(s_start, None)
+        self.order_slices = {
+            "lex_on_s": self.s_block,
+            "lex_on_y": self.y_block,
+            "sharp": slice(y_start, None),
+            "elim_sharp": slice(None),
+        }
 
-    @property
-    def all_vars(self) -> tuple[str, ...]:
-        extra = (self.elim_var,) if self.elim_var is not None else ()
-        return self.s_vars + self.y_vars + extra
-
-    def block_of(self, name: str) -> str:
+    def index_of(self, name: str) -> int:
+        """Position of a variable in the exponent tuple."""
         try:
-            return self._blocks[name]
+            return self._index[name]
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def rees_extension(self, count: int, elim_var: str = "t") -> "VariableUniverse":
-        """Adjoin y1..y<count> and an elimination variable to the base block."""
-        if self.y_vars or self.elim_var is not None:
-            raise ValueError("universe already extended")
-        y_names = tuple(f"y{j}" for j in range(1, count + 1))
-        return VariableUniverse(self.s_vars, y_names, elim_var)
+    def block_of(self, name: str) -> str:
+        i = self.index_of(name)
+        if i < self.y_block.start:
+            return "t"
+        return "y" if i < self.s_block.start else "s"
 
     def drop_elim(self) -> "VariableUniverse":
         return VariableUniverse(self.s_vars, self.y_vars, None)
 
     def one(self) -> "Monomial":
-        return Monomial(self, {})
+        return _monomial(self, (0,) * len(self.all_vars), 0)
 
     def monomial(self, exps: Mapping[str, int]) -> "Monomial":
         return Monomial(self, exps)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, VariableUniverse)
             and self.s_vars == other.s_vars
             and self.y_vars == other.y_vars
@@ -120,91 +125,87 @@ class VariableUniverse:
 
 
 class Monomial:
-    """Immutable sparse exponent vector over one universe.
+    """Immutable dense exponent tuple over one universe.
 
-    Zero exponents are never stored; blockwise degrees are computed once
-    at construction so invariant checks can compare them to fresh sums.
+    ``exponents`` follows the universe layout ``(t, y..., s...)``; the
+    blockwise degrees and the ``exps`` name map are derived from it.
     """
 
-    __slots__ = ("universe", "exps", "total_degree", "s_degree", "y_degree", "t_degree")
+    __slots__ = ("universe", "exponents", "total_degree")
 
     def __init__(self, universe: VariableUniverse, exps: Mapping[str, int]):
-        clean: dict[str, int] = {}
-        s_deg = y_deg = t_deg = 0
+        vector = [0] * len(universe.all_vars)
         for name, e in exps.items():
             if not isinstance(e, int) or isinstance(e, bool):
                 raise ValueError(f"exponent of {name!r} must be an int, got {e!r}")
             if e < 0:
                 raise ValueError(f"negative exponent for {name!r}")
-            if e == 0:
-                continue
-            block = universe.block_of(name)
-            clean[name] = e
-            if block == "s":
-                s_deg += e
-            elif block == "y":
-                y_deg += e
-            else:
-                t_deg += e
+            if e:
+                vector[universe.index_of(name)] = e
         self.universe = universe
-        self.exps = clean
-        self.s_degree = s_deg
-        self.y_degree = y_deg
-        self.t_degree = t_deg
-        self.total_degree = s_deg + y_deg + t_deg
+        self.exponents = tuple(vector)
+        self.total_degree = sum(vector)
 
     # -- queries -------------------------------------------------------
 
     @property
+    def exps(self) -> dict[str, int]:
+        """The nonzero exponents by name, in the universe's display order."""
+        e = self.exponents
+        return {name: e[i] for name, i in self.universe._display if e[i]}
+
+    @property
+    def s_degree(self) -> int:
+        return sum(self.exponents[self.universe.s_block])
+
+    @property
+    def y_degree(self) -> int:
+        return sum(self.exponents[self.universe.y_block])
+
+    @property
+    def t_degree(self) -> int:
+        return sum(self.exponents[self.universe.t_block])
+
+    @property
     def is_one(self) -> bool:
-        return not self.exps
+        return not self.total_degree
 
     def exponent(self, name: str) -> int:
-        self.universe.block_of(name)
-        return self.exps.get(name, 0)
+        return self.exponents[self.universe.index_of(name)]
 
     def divides(self, other: "Monomial") -> bool:
         _same_universe(self, other)
-        if self.total_degree > other.total_degree:
-            return False
-        oexps = other.exps
-        return all(e <= oexps.get(v, 0) for v, e in self.exps.items())
+        return self.total_degree <= other.total_degree and all(
+            map(le, self.exponents, other.exponents)
+        )
 
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         _same_universe(self, other)
-        exps = dict(self.exps)
-        for v, e in other.exps.items():
-            exps[v] = exps.get(v, 0) + e
-        return Monomial(self.universe, exps)
+        return _monomial(
+            self.universe,
+            tuple(map(add, self.exponents, other.exponents)),
+            self.total_degree + other.total_degree,
+        )
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         """Exact division; raises ValueError when not divisible."""
         _same_universe(self, other)
-        exps = dict(self.exps)
-        for v, e in other.exps.items():
-            r = exps.get(v, 0) - e
-            if r < 0:
-                raise ValueError(f"{other} does not divide {self}")
-            if r == 0:
-                exps.pop(v, None)
-            else:
-                exps[v] = r
-        return Monomial(self.universe, exps)
+        exponents = tuple(map(sub, self.exponents, other.exponents))
+        if exponents and min(exponents) < 0:
+            raise ValueError(f"{other} does not divide {self}")
+        return _monomial(self.universe, exponents, self.total_degree - other.total_degree)
 
     def gcd(self, other: "Monomial") -> "Monomial":
         _same_universe(self, other)
-        exps = {v: min(e, other.exps.get(v, 0)) for v, e in self.exps.items()}
-        return Monomial(self.universe, exps)
+        exponents = tuple(map(min, self.exponents, other.exponents))
+        return _monomial(self.universe, exponents, sum(exponents))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         _same_universe(self, other)
-        exps = dict(self.exps)
-        for v, e in other.exps.items():
-            if e > exps.get(v, 0):
-                exps[v] = e
-        return Monomial(self.universe, exps)
+        exponents = tuple(map(max, self.exponents, other.exponents))
+        return _monomial(self.universe, exponents, sum(exponents))
 
     def restricted(self, universe: VariableUniverse) -> "Monomial":
         """The same exponents read in another universe (support must fit)."""
@@ -215,31 +216,37 @@ class Monomial:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Monomial)
+            and self.exponents == other.exponents
             and self.universe == other.universe
-            and self.exps == other.exps
         )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.exps.items()))
+        return hash(self.exponents)
 
     def __str__(self) -> str:
-        if not self.exps:
-            return "1"
-        parts = []
-        for v in self.universe.all_vars:
-            e = self.exps.get(v, 0)
-            if e == 1:
-                parts.append(v)
-            elif e > 1:
-                parts.append(f"{v}^{e}")
-        return "*".join(parts)
+        e = self.exponents
+        parts = [
+            name if e[i] == 1 else f"{name}^{e[i]}"
+            for name, i in self.universe._display
+            if e[i]
+        ]
+        return "*".join(parts) or "1"
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
 
 
+def _monomial(universe: VariableUniverse, exponents: tuple[int, ...], total_degree: int) -> Monomial:
+    """A monomial from an exponent tuple already laid out for the universe."""
+    m = object.__new__(Monomial)
+    m.universe = universe
+    m.exponents = exponents
+    m.total_degree = total_degree
+    return m
+
+
 def _same_universe(a: Monomial, b: Monomial) -> None:
-    if a.universe != b.universe:
+    if a.universe is not b.universe and a.universe != b.universe:
         raise ValueError("monomials live in different universes")
 
 
@@ -273,7 +280,7 @@ def parse_monomial(text: str, universe: VariableUniverse) -> Monomial:
         if not m:
             raise ValueError(f"bad monomial factor {factor!r}")
         name, e = m.group(1), int(m.group(2) or 1)
-        universe.block_of(name)
+        universe.index_of(name)
         exps[name] = exps.get(name, 0) + e
     return Monomial(universe, exps)
 
@@ -283,9 +290,10 @@ def parse_monomial(text: str, universe: VariableUniverse) -> Monomial:
 
 
 class MonomialOrder:
-    """One of the four order kinds; totality holds on a universe whose
-    variables are all visible to the kind (sharp needs no elimination
-    variable, elim_sharp sees everything)."""
+    """One of the four order kinds: lex on the universe's slice for the
+    kind.  Totality holds on a universe whose variables are all visible to
+    the kind (sharp needs no elimination variable, elim_sharp sees
+    everything)."""
 
     __slots__ = ("kind",)
 
@@ -296,20 +304,11 @@ class MonomialOrder:
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
 
-    def key(self, m: Monomial):
-        exps = m.exps
-        u = m.universe
-        if self.kind == "lex_on_s":
-            return tuple(exps.get(v, 0) for v in u.s_vars)
-        if self.kind == "lex_on_y":
-            return tuple(exps.get(v, 0) for v in u.y_vars)
-        s_key = tuple(exps.get(v, 0) for v in u.s_vars)
-        y_key = tuple(exps.get(v, 0) for v in u.y_vars)
-        if self.kind == "sharp":
-            return (y_key, s_key)
-        return (m.t_degree, y_key, s_key)
+    def key(self, m: Monomial) -> tuple[int, ...]:
+        return m.exponents[m.universe.order_slices[self.kind]]
 
     def compare(self, u: Monomial, v: Monomial) -> int:
+        """-1, 0 or 1 for less / equal / greater under the order."""
         _same_universe(u, v)
         ku, kv = self.key(u), self.key(v)
         if ku < kv:
@@ -334,14 +333,9 @@ SHARP = MonomialOrder("sharp")
 ELIM_SHARP = MonomialOrder("elim_sharp")
 
 
-def compare(order: MonomialOrder, u: Monomial, v: Monomial) -> int:
-    """-1, 0 or 1 for less / equal / greater under the order."""
-    return order.compare(u, v)
-
-
-def canonical_key(m: Monomial):
-    """Universe-wide sort key (elimination degree, y-block lex, base lex)."""
-    return ELIM_SHARP.key(m)
+def canonical_key(m: Monomial) -> tuple[int, ...]:
+    """Universe-wide sort key: the whole exponent tuple, i.e. ``elim_sharp``."""
+    return m.exponents
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +432,12 @@ def monomials_of_degree(
     if d < 0:
         raise ValueError("degree must be nonnegative")
     names = tuple(variables) if variables is not None else universe.all_vars
-    for combo in combinations_with_replacement(names, d):
-        exps: dict[str, int] = {}
-        for v in combo:
-            exps[v] = exps.get(v, 0) + 1
-        yield Monomial(universe, exps)
+    positions = [universe.index_of(v) for v in names]
+    for combo in combinations_with_replacement(positions, d):
+        vector = [0] * len(universe.all_vars)
+        for i in combo:
+            vector[i] += 1
+        yield _monomial(universe, tuple(vector), d)
 
 
 def component(ideal: MonomialIdeal, j: int) -> MonomialIdeal:

@@ -13,7 +13,6 @@ generated by the images of the standard monomials in the y-block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .binomial_gb import GBConfig, GroebnerBasis, initial_ideal, toric_kernel
 from .monomials import (
@@ -22,6 +21,7 @@ from .monomials import (
     MonomialIdeal,
     VariableUniverse,
     canonical_key,
+    monomials_of_degree,
     power,
     product,
 )
@@ -143,25 +143,17 @@ def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:
         return StandardMonomialSet(k=k, members=(), mapped_generators=(), degenerate=True)
     in_gens = initial_ideal(p.basis).gens
     pure_y = [m for m in in_gens if m.s_degree == 0]
-    members = []
-    q = p.y_count
-    for combo in combinations_with_replacement(range(1, q + 1), k):
-        exps: dict[str, int] = {}
-        for j in combo:
-            name = f"y{j}"
-            exps[name] = exps.get(name, 0) + 1
-        m = p.universe.monomial(exps)
-        if not any(g.divides(m) for g in pure_y):
-            members.append(m)
+    members = [
+        m
+        for m in monomials_of_degree(p.universe, k, p.universe.y_vars)
+        if not any(g.divides(m) for g in pure_y)
+    ]
     members.sort(key=LEX_ON_Y.key)
     base = p.ideal.universe
-    mapped = []
-    for m in members:
-        factors = []
-        for name, e in m.exps.items():
-            j = int(name[1:])
-            factors.extend([p.generators[j - 1]] * e)
-        mapped.append(product(base, factors))
+    mapped = [
+        product(base, _repeat(p.generators, m.exponents[p.universe.y_block]))
+        for m in members
+    ]
     if len(set(mapped)) != len(mapped):
         raise AssertionError("distinct standard monomials mapped to equal generators")
     return StandardMonomialSet(k=k, members=tuple(members), mapped_generators=tuple(mapped))
@@ -183,18 +175,16 @@ def minimal_generation_check(p: ReesPresentation, k: int) -> bool:
 def pi_image(p: ReesPresentation, m: Monomial) -> Monomial:
     """Image of a presentation-ring monomial in the base ring with the
     auxiliary variable: x_i -> x_i, y_j -> generator_j * t."""
+    u = p.universe
+    if m.universe != u:
+        raise ValueError("monomial outside the presentation ring")
     with_t = VariableUniverse(p.ideal.universe.s_vars, (), "t")
-    exps = {}
-    y_total = 0
-    factors = []
-    for name, e in m.exps.items():
-        if p.universe.block_of(name) == "y":
-            j = int(name[1:])
-            factors.extend([p.generators[j - 1].restricted(with_t)] * e)
-            y_total += e
-        else:
-            exps[name] = e
-    out = with_t.monomial(exps)
-    for f in factors:
-        out = out * f
-    return out * with_t.monomial({"t": y_total})
+    base = dict(zip(u.s_vars, m.exponents[u.s_block]))
+    base["t"] = m.y_degree
+    images = [g.restricted(with_t) for g in p.generators]
+    return product(with_t, [Monomial(with_t, base), *_repeat(images, m.exponents[u.y_block])])
+
+
+def _repeat(monomials, counts):
+    """Each monomial repeated as often as its count says."""
+    return [f for f, e in zip(monomials, counts) for _ in range(e)]

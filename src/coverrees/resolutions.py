@@ -212,7 +212,7 @@ def upper_koszul_faces(ideal: MonomialIdeal, b: Monomial) -> dict[int, list[tupl
     when b divided by it still lies in the ideal; the empty face sits in
     dimension -1.
     """
-    support = [v for v in b.universe.all_vars if b.exps.get(v, 0)]
+    support = list(b.exps)
     faces: dict[int, list[tuple[str, ...]]] = {}
     for size in range(len(support) + 1):
         this_dim = []

@@ -23,7 +23,6 @@ from coverrees import (
     cameron_walker,
     check_linear_quotients,
     cm_bipartite_from_poset,
-    compare,
     cover_ideal,
     find_linear_quotients_order,
     has_linear_resolution,
@@ -321,14 +320,14 @@ def test_criterion_8_engine_self_checks():
                 u = random_monomial(rng, uni, max_degree=5)
                 v = random_monomial(rng, uni, max_degree=5)
                 w = random_monomial(rng, uni, max_degree=5)
-                cuv = compare(order, u, v)
-                assert cuv == -compare(order, v, u)
+                cuv = order.compare(u, v)
+                assert cuv == -order.compare(v, u)
                 assert (cuv == 0) == (u == v)
-                assert compare(order, u * w, v * w) == cuv
+                assert order.compare(u * w, v * w) == cuv
                 lo, mid, hi = sorted([u, v, w], key=order.key)
-                assert compare(order, lo, mid) <= 0 <= compare(order, hi, mid)
+                assert order.compare(lo, mid) <= 0 <= order.compare(hi, mid)
                 if u.divides(v) and u != v:
-                    assert compare(order, v, u) == 1
+                    assert order.compare(v, u) == 1
 
         rng = random.Random(6120)
         base = VariableUniverse(("x1", "x2", "x3", "x4"))

@@ -204,13 +204,23 @@ def test_betti_of_power(tmp_path, capsys):
     assert {e["i"] for e in doc["multigraded"]} == {0, 1}
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "covers", "wheel:9")[0] == 2
     assert run(capsys, "covers", "cycle:2")[0] == 2
     assert run(capsys, "covers", "missing_file.json")[0] == 2
     assert run(capsys, "construct", "attach(edge)")[0] == 2
     assert run(capsys, "analyze", "path:3", "-k", "0")[0] == 2
     assert run(capsys, "betti", "path:3", "--power", "0")[0] == 2
+    for name, doc in [
+        ("nested_edge.json", {"vertices": ["a", "b"], "edges": [[["a"], "b"]]}),
+        (
+            "nested_part.json",
+            {"vertices": ["a", "b"], "edges": [["a", "b"]], "parts": {"X": [["a"]], "Y": ["b"]}},
+        ),
+    ]:
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "covers", str(path))[0] == 2
     code, _, err = run(capsys, "rees", "cw(edge;leaves=1;triangles=1)")
     assert code == 2
     assert "input error" in err
@@ -229,10 +239,14 @@ def test_resource_bounds_exit_3(capsys):
     assert "exceed the Betti bound 18" in err
 
 
-def test_seed_flag_is_accepted(capsys):
-    code, out, _ = run(capsys, "--seed", "7", "covers", "path:2")
-    assert code == 0
-    assert out.splitlines() == ["{x1}", "{x2}"]
+def test_internal_key_error_is_not_an_input_error(monkeypatch, capsys):
+    def broken(graph):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli_module, "cover_ideal", broken)
+    with pytest.raises(KeyError):
+        main(["rees", "path:3"])
+    assert "input error" not in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

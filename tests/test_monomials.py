@@ -17,7 +17,6 @@ from coverrees import (
     VariableUniverse,
     canonical_key,
     colon,
-    compare,
     component,
     cover_ideal,
     minimalize,
@@ -54,14 +53,10 @@ def test_universe_validation():
 
 
 def test_universe_extension():
-    base = VariableUniverse(("x1", "x2"))
-    ext = base.rees_extension(3)
-    assert ext.y_vars == ("y1", "y2", "y3")
-    assert ext.elim_var == "t"
+    ext = VariableUniverse(("x1", "x2"), ("y1", "y2", "y3"), "t")
     assert ext.drop_elim().elim_var is None
     assert ext.drop_elim().y_vars == ("y1", "y2", "y3")
-    with pytest.raises(ValueError):
-        ext.rees_extension(1)
+    assert ext.drop_elim().s_vars == ("x1", "x2")
 
 
 def test_monomial_basic_arithmetic():
@@ -153,7 +148,22 @@ def test_cross_universe_operations_rejected():
     with pytest.raises(ValueError):
         variable(u1, "x1").divides(variable(u2, "x1"))
     with pytest.raises(ValueError):
-        compare(LEX_ON_S, variable(u1, "x1"), variable(u2, "x2"))
+        LEX_ON_S.compare(variable(u1, "x1"), variable(u2, "x2"))
+
+
+def test_equal_universes_built_apart_interoperate():
+    u1 = VariableUniverse(("x1", "x2"), ("y1",), "t")
+    u2 = VariableUniverse(("x1", "x2"), ("y1",), "t")
+    assert u1 is not u2
+    a = u1.monomial({"x1": 2, "y1": 1})
+    b = u2.monomial({"x1": 2, "y1": 1})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    x1 = variable(u2, "x1")
+    assert a * x1 == u1.monomial({"x1": 3, "y1": 1})
+    assert a / x1 == u1.monomial({"x1": 1, "y1": 1})
+    assert x1.divides(a) and a.lcm(x1) == a and a.gcd(x1) == x1
+    assert SHARP.compare(a, b) == 0
 
 
 def test_order_examples():
@@ -161,24 +171,24 @@ def test_order_examples():
     x2y1 = u.monomial({"x2": 1, "y1": 1})
     x1x3y2 = u.monomial({"x1": 1, "x3": 1, "y2": 1})
     # the y block decides first, and y1 beats any power of y2
-    assert compare(SHARP, x2y1, x1x3y2) == 1
-    assert compare(SHARP, x1x3y2, x2y1) == -1
+    assert SHARP.compare(x2y1, x1x3y2) == 1
+    assert SHARP.compare(x1x3y2, x2y1) == -1
 
     ty1 = u.monomial({"t": 1, "y1": 1})
     xy = u.monomial({"x1": 2, "y2": 3})
     # any elimination degree beats everything without it
-    assert compare(ELIM_SHARP, ty1, xy) == 1
+    assert ELIM_SHARP.compare(ty1, xy) == 1
     # without t, elim_sharp falls back to sharp
-    assert compare(ELIM_SHARP, x2y1, x1x3y2) == compare(SHARP, x2y1, x1x3y2)
+    assert ELIM_SHARP.compare(x2y1, x1x3y2) == SHARP.compare(x2y1, x1x3y2)
 
     x1x3 = u.monomial({"x1": 1, "x3": 1})
     x2sq = u.monomial({"x2": 2})
-    assert compare(LEX_ON_S, x1x3, x2sq) == 1  # exponent of x1 decides
-    assert compare(LEX_ON_Y, x1x3, x2sq) == 0  # both have empty y part
+    assert LEX_ON_S.compare(x1x3, x2sq) == 1  # exponent of x1 decides
+    assert LEX_ON_Y.compare(x1x3, x2sq) == 0  # both have empty y part
 
     y1 = u.monomial({"y1": 1})
     y2cube = u.monomial({"y2": 3})
-    assert compare(LEX_ON_Y, y1, y2cube) == 1
+    assert LEX_ON_Y.compare(y1, y2cube) == 1
 
 
 def test_order_kind_validation():
