@@ -11,6 +11,7 @@ part; since the elimination order restricted to those monomials is the
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -151,7 +152,9 @@ def buchberger(
     """Reduced Groebner basis of the binomial ideal the generators span.
 
     Pair selection follows the normal strategy (smallest lcm under the
-    order, ties by insertion index); coprime-lead pairs are skipped, the
+    order, ties by insertion index).  Pairs wait in a heap keyed once per
+    pair, when the pair is formed: basis elements are only appended, so
+    a pair's lcm never changes.  Coprime-lead pairs are skipped, the
     chain criterion only when the config asks for it.  A degree cap
     aborts runaway computations with a diagnostic.
     """
@@ -169,22 +172,21 @@ def buchberger(
     if universe is None:
         raise ValueError("buchberger needs at least one generator to fix the universe")
 
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    def pair_entry(i: int, j: int) -> tuple[tuple[int, ...], int, int]:
+        return (order.key(basis[i].lead.lcm(basis[j].lead)), i, j)
+
+    pairs = [pair_entry(i, j) for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(pairs)
     done: set[tuple[int, int]] = set()
 
-    def lcm_of(pair: tuple[int, int]) -> Monomial:
-        i, j = pair
-        return basis[i].lead.lcm(basis[j].lead)
-
     while pairs:
-        pairs.sort(key=lambda p: (order.key(lcm_of(p)), p))
-        i, j = pairs.pop(0)
+        _, i, j = heapq.heappop(pairs)
         done.add((i, j))
         f, g = basis[i], basis[j]
         if f.lead.gcd(g.lead).is_one:
             continue
         if cfg.use_chain_criterion:
-            l = lcm_of((i, j))
+            l = f.lead.lcm(g.lead)
             skip = False
             for k in range(len(basis)):
                 if k in (i, j) or not basis[k].lead.divides(l):
@@ -208,7 +210,8 @@ def buchberger(
             )
         basis.append(nf)
         new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
+        for k in range(new):
+            heapq.heappush(pairs, pair_entry(k, new))
 
     reduced = _interreduce(basis, order)
     return GroebnerBasis(universe, order, tuple(reduced), reduced=True)
@@ -266,7 +269,7 @@ def initial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
     return minimalize([e.lead for e in basis.elements], basis.universe)
 
 
-def is_groebner_basis(basis: GroebnerBasis, config: GBConfig | None = None) -> bool:
+def is_groebner_basis(basis: GroebnerBasis) -> bool:
     """Buchberger's criterion: every S-pair reduces to zero."""
     elems = basis.elements
     for j in range(len(elems)):

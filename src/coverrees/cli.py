@@ -263,6 +263,13 @@ def cmd_betti(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coverrees",
@@ -271,14 +278,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", metavar="PATH", help="also write a JSON report to PATH")
     parser.add_argument(
         "--max-gens",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="bound for generator-sensitive searches (linear quotients, Betti tables)",
     )
     parser.add_argument(
         "--gb-degree-cap",
-        type=int,
+        type=positive_int,
         default=40,
         metavar="D",
         help="abort basis computations past this total degree",

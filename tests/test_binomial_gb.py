@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import coverrees.binomial_gb as binomial_gb
 from coverrees import (
     ELIM_SHARP,
     LEX_ON_S,
@@ -18,6 +19,7 @@ from coverrees import (
     initial_ideal,
     is_groebner_basis,
     oriented_binomial,
+    parse_construction,
     parse_monomial,
     reduce_binomial,
     s_pair,
@@ -362,3 +364,38 @@ def test_random_binomial_systems_satisfy_criterion():
         assert is_groebner_basis(basis)
         for b in gens:
             assert reduce_binomial(b, basis.elements, LEX_ON_S) is None
+
+
+# (S-pairs, reductions, zero reductions) of toric_kernel on cover images,
+# chain criterion off and on; any drift in the pair selection order moves them.
+PAIR_SEQUENCE_COUNTS = {
+    "path:7": ((233, 217, 192), (139, 124, 99)),
+    "attach(edge;edge,edge)": ((2072, 2006, 1937), (441, 408, 339)),
+    "cone(cycle:5)": ((671, 665, 630), (185, 179, 144)),
+}
+
+
+def test_pair_sequence_is_pinned(monkeypatch):
+    counts = {}
+    real_s_pair = binomial_gb.s_pair
+    real_reduce = binomial_gb.reduce_binomial
+
+    def counting_s_pair(f, g, order):
+        counts["s_pairs"] += 1
+        return real_s_pair(f, g, order)
+
+    def counting_reduce(b, elements, order):
+        counts["reductions"] += 1
+        nf = real_reduce(b, elements, order)
+        if nf is None:
+            counts["zero"] += 1
+        return nf
+
+    monkeypatch.setattr(binomial_gb, "s_pair", counting_s_pair)
+    monkeypatch.setattr(binomial_gb, "reduce_binomial", counting_reduce)
+    for text, expected in PAIR_SEQUENCE_COUNTS.items():
+        images = _cover_images(parse_construction(text))
+        for chain, want in zip((False, True), expected):
+            counts.update(s_pairs=0, reductions=0, zero=0)
+            toric_kernel(images, GBConfig(use_chain_criterion=chain))
+            assert (counts["s_pairs"], counts["reductions"], counts["zero"]) == want, (text, chain)

@@ -108,6 +108,20 @@ def test_analyze_verifies_three_path(capsys):
     assert err == ""
 
 
+def test_analyze_certifies_three_triangle_friendship_graph(capsys):
+    code, out, _ = run(capsys, "--max-gens", "64", "analyze", "friendship:3", "-k", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "graph: 7 vertices, 9 edges; 9 minimal covers"
+    assert "x-condition: holds; initial ideal quadratic" in lines
+    k_lines = [l for l in lines if l.startswith("k=")]
+    assert k_lines == [
+        "k=1: generators=9 standard=9 minimal-generation=ok linear-quotients=ascending",
+        "k=2: generators=36 standard=36 minimal-generation=ok linear-quotients=ascending",
+    ]
+    assert lines[-1] == "all predicted properties verified"
+
+
 def test_analyze_records_failing_hypothesis(capsys):
     code, out, _ = run(capsys, "analyze", "cycle:4")
     assert code == 0
@@ -224,6 +238,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "rees", "cw(edge;leaves=1;triangles=1)")
     assert code == 2
     assert "input error" in err
+
+
+def test_bounds_below_one_are_usage_errors(capsys):
+    for argv in [
+        ["--max-gens", "-1", "analyze", "path:2"],
+        ["--max-gens", "0", "analyze", "path:2"],
+        ["--gb-degree-cap", "0", "rees", "path:2"],
+        ["--gb-degree-cap", "-5", "rees", "path:2"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "resource bound exceeded" not in err
+        assert "must be at least 1" in err
 
 
 def test_resource_bounds_exit_3(capsys):

@@ -13,6 +13,7 @@ from coverrees import (
     cameron_walker,
     canonical_key,
     cover_ideal,
+    is_groebner_basis,
     minimal_generation_check,
     parse_monomial,
     pi_image,
@@ -139,6 +140,17 @@ def test_x_condition_on_friendship_graph():
         "z2*y3",
         "z4*y4",
     ]
+
+
+def test_x_condition_on_three_triangle_friendship_graph():
+    p = _present(standard_family("friendship", 3))
+    assert p.y_count == 9
+    assert len(p.basis.elements) == 22
+    assert is_groebner_basis(p.basis)
+    rep = x_condition(p)
+    assert rep.holds and rep.quadratic
+    assert len(rep.initial_generators) == 22
+    assert all(m.total_degree == 2 for m in rep.initial_generators)
 
 
 def test_x_condition_on_attached_doubled_edge():
