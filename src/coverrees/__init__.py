@@ -27,7 +27,6 @@ from .errors import (
 from .graphs import (
     Graph,
     Poset,
-    Vertex,
     VertexCover,
     attach,
     build_graph,

@@ -69,7 +69,6 @@ def oriented_binomial(u: Monomial, v: Monomial, order: MonomialOrder) -> Binomia
 @dataclass(frozen=True)
 class GBConfig:
     degree_cap: int = 40
-    use_chain_criterion: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class GroebnerBasis:
     universe: VariableUniverse
     order: MonomialOrder
     elements: tuple[Binomial, ...]
-    reduced: bool
 
     def dump(self) -> str:
         """One ``lead - trail`` line per element, in the canonical order."""
@@ -154,9 +152,10 @@ def buchberger(
     Pair selection follows the normal strategy (smallest lcm under the
     order, ties by insertion index).  Pairs wait in a heap keyed once per
     pair, when the pair is formed: basis elements are only appended, so
-    a pair's lcm never changes.  Coprime-lead pairs are skipped, the
-    chain criterion only when the config asks for it.  A degree cap
-    aborts runaway computations with a diagnostic.
+    a pair's lcm never changes.  Pairs with coprime leads are skipped, and
+    so is a pair (i, j) when some other lead divides its lcm and both
+    (i, k) and (j, k) are already done (the chain criterion).  A degree
+    cap aborts runaway computations with a diagnostic.
     """
     cfg = config or GBConfig()
     basis: list[Binomial] = []
@@ -185,19 +184,13 @@ def buchberger(
         f, g = basis[i], basis[j]
         if f.lead.gcd(g.lead).is_one:
             continue
-        if cfg.use_chain_criterion:
-            l = f.lead.lcm(g.lead)
-            skip = False
-            for k in range(len(basis)):
-                if k in (i, j) or not basis[k].lead.divides(l):
-                    continue
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 in done and p2 in done:
-                    skip = True
-                    break
-            if skip:
-                continue
+        l = f.lead.lcm(g.lead)
+        if any(
+            (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k, h in enumerate(basis)
+            if k != i and k != j and h.lead.divides(l)
+        ):
+            continue
         s = s_pair(f, g, order)
         if s is None:
             continue
@@ -214,7 +207,7 @@ def buchberger(
             heapq.heappush(pairs, pair_entry(k, new))
 
     reduced = _interreduce(basis, order)
-    return GroebnerBasis(universe, order, tuple(reduced), reduced=True)
+    return GroebnerBasis(universe, order, tuple(reduced))
 
 
 def toric_kernel(
@@ -259,13 +252,11 @@ def toric_kernel(
             raise AssertionError("elimination-free lead with elimination in the trail")
         kept.append(Binomial(e.lead.restricted(target), e.trail.restricted(target)))
     kept.sort(key=lambda e: SHARP.key(e.lead))
-    return GroebnerBasis(target, SHARP, tuple(kept), reduced=True)
+    return GroebnerBasis(target, SHARP, tuple(kept))
 
 
 def initial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
-    """The ideal of lead monomials; requires a reduced basis."""
-    if not basis.reduced:
-        raise ValueError("initial_ideal needs a reduced basis")
+    """The ideal of lead monomials of a Groebner basis."""
     return minimalize([e.lead for e in basis.elements], basis.universe)
 
 

@@ -140,12 +140,9 @@ def cmd_analyze(args) -> int:
             "componentwise_by_degree": None,
         }
         if args.betti:
-            from .resolutions import has_linear_resolution
-
-            entry["linear_resolution"] = has_linear_resolution(
-                pk, max_generators=_betti_bound(args)
-            )
             cw = is_componentwise_linear(pk, max_generators=_betti_bound(args))
+            # Generated in one degree d, pk is its own degree-d component.
+            entry["linear_resolution"] = pk.is_equigenerated() and cw.by_degree[pk.min_degree()]
             entry["componentwise_linear"] = cw.componentwise_linear
             entry["componentwise_by_degree"] = {
                 str(j): ok for j, ok in sorted(cw.by_degree.items())
@@ -303,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline over powers of the cover ideal")
     p.add_argument("graph")
-    p.add_argument("-k", "--max-power", type=int, default=2, metavar="K")
+    p.add_argument("-k", "--max-power", type=positive_int, default=2, metavar="K")
     p.add_argument("--betti", action="store_true", help="add Betti-table based verdicts")
     p.set_defaults(func=cmd_analyze)
 
@@ -314,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="Betti table of a cover-ideal power")
     p.add_argument("graph")
-    p.add_argument("--power", type=int, default=1, metavar="K")
+    p.add_argument("--power", type=positive_int, default=1, metavar="K")
     p.set_defaults(func=cmd_betti)
 
     return parser
@@ -322,9 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "max_power", 1) < 1 or getattr(args, "power", 1) < 1:
-        print("input error: power must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ResourceLimitExceeded as exc:

@@ -1,10 +1,11 @@
 """Finite simple graphs with an explicit vertex priority.
 
-The vertex sequence of a graph is the variable priority used everywhere
+The label sequence of a graph is the variable priority used everywhere
 downstream (highest first), so every constructor documents where it puts
-new vertices.  Attached vertices produced by ``attach`` come before the
-base vertices, matching the priority that makes the composed Rees
-presentations behave; cones put the new universal vertex last.
+new vertices.  Attached vertices produced by ``attach`` are the
+``z<i>_<j>`` labels (``z<j>`` in the coned families) and are placed
+before the base vertices, matching the priority that makes the composed
+Rees presentations behave; cones put the new universal vertex last.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "Vertex",
     "Graph",
     "VertexCover",
     "Poset",
@@ -35,44 +35,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A labelled vertex; attached vertices remember their host position."""
-
-    label: str
-    kind: str = "base"  # "base" | "attached"
-    host: int | None = None  # 1-based position of the host vertex
-    index: int | None = None
-
-
 class Graph:
-    """Immutable simple graph; vertex sequence order is the priority."""
+    """Immutable simple graph; the label sequence order is the priority.
 
-    __slots__ = ("vertices", "edges", "parts", "_adjacency", "_position")
+    Attached vertices are the ``z...`` labels, placed first by ``attach``
+    and by the coned families.
+    """
+
+    __slots__ = ("labels", "edges", "parts", "_adjacency", "_position")
 
     def __init__(
         self,
-        vertices: Sequence[Vertex],
+        labels: Sequence[str],
         edges: Iterable[tuple[str, str]],
         parts: tuple[Sequence[str], Sequence[str]] | None = None,
     ):
-        self.vertices = tuple(vertices)
+        self.labels = tuple(labels)
         position: dict[str, int] = {}
-        for i, v in enumerate(self.vertices):
-            if v.label in position:
-                raise ValueError(f"duplicate vertex label {v.label!r}")
-            position[v.label] = i
+        for i, lbl in enumerate(self.labels):
+            if lbl in position:
+                raise ValueError(f"duplicate vertex label {lbl!r}")
+            position[lbl] = i
         self._position = position
-        seen_slots = set()
-        for i, v in enumerate(self.vertices):
-            if v.kind == "attached":
-                slot = (v.host, v.index)
-                if slot in seen_slots:
-                    raise ValueError(f"duplicate attached slot {slot}")
-                seen_slots.add(slot)
-            elif v.kind != "base":
-                raise ValueError(f"unknown vertex kind {v.kind!r}")
-        adjacency: dict[str, set[str]] = {v.label: set() for v in self.vertices}
+        adjacency: dict[str, set[str]] = {lbl: set() for lbl in self.labels}
         canon = set()
         for a, b in edges:
             if a not in position or b not in position:
@@ -97,10 +82,6 @@ class Graph:
         else:
             self.parts = None
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(v.label for v in self.vertices)
-
     def position(self, label: str) -> int:
         return self._position[label]
 
@@ -112,7 +93,7 @@ class Graph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.labels)
 
     @property
     def n_edges(self) -> int:
@@ -127,9 +108,8 @@ def build_graph(
     edges: Iterable[tuple[str, str]],
     parts: tuple[Sequence[str], Sequence[str]] | None = None,
 ) -> Graph:
-    """Graph on plain base vertices in the given priority order."""
-    vertices = [Vertex(lbl) for lbl in vertex_labels]
-    return Graph(vertices, edges, parts)
+    """Graph on the given labels in the given priority order."""
+    return Graph(vertex_labels, edges, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +118,10 @@ def build_graph(
 
 def _coned_family(m: int, inner_edges: list[tuple[int, int]]) -> Graph:
     """m attached vertices z1..zm plus the universal base vertex x1, last."""
-    vertices = [Vertex(f"z{j}", "attached", host=1, index=j) for j in range(1, m + 1)]
-    vertices.append(Vertex("x1"))
+    labels = [f"z{j}" for j in range(1, m + 1)] + ["x1"]
     edges = [(f"z{a}", f"z{b}") for a, b in inner_edges]
     edges += [(f"z{j}", "x1") for j in range(1, m + 1)]
-    return Graph(vertices, edges)
+    return Graph(labels, edges)
 
 
 def standard_family(kind: str, *params: int) -> Graph:
@@ -201,9 +180,8 @@ def cone(g: Graph) -> Graph:
     while f"x{k}" in used:
         k += 1
     apex = f"x{k}"
-    vertices = list(g.vertices) + [Vertex(apex)]
     edges = list(g.edges) + [(lbl, apex) for lbl in g.labels]
-    return Graph(vertices, edges)
+    return Graph(g.labels + (apex,), edges)
 
 
 def attach(g: Graph, hs: Sequence[Graph]) -> Graph:
@@ -216,23 +194,23 @@ def attach(g: Graph, hs: Sequence[Graph]) -> Graph:
     if len(hs) != g.n_vertices:
         raise ValueError("attach needs one graph per vertex of the base")
     base_labels = set(g.labels)
-    vertices: list[Vertex] = []
+    labels: list[str] = []
     edges: list[tuple[str, str]] = []
     for i, h in enumerate(hs, start=1):
         relabel = {}
-        for j, v in enumerate(h.vertices, start=1):
+        for j, old in enumerate(h.labels, start=1):
             lbl = f"z{i}_{j}"
             if lbl in base_labels:
                 raise ValueError(f"generated label {lbl!r} collides with the base")
-            relabel[v.label] = lbl
-            vertices.append(Vertex(lbl, "attached", host=i, index=j))
+            relabel[old] = lbl
+            labels.append(lbl)
         for a, b in h.edges:
             edges.append((relabel[a], relabel[b]))
         host = g.labels[i - 1]
         edges.extend((lbl, host) for lbl in relabel.values())
-    vertices.extend(Vertex(v.label, "base") for v in g.vertices)
+    labels.extend(g.labels)
     edges.extend(g.edges)
-    return Graph(vertices, edges)
+    return Graph(labels, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +306,11 @@ def cameron_walker(
         return c
 
     hs = []
-    for v in bipartite.vertices:
-        if v.label in x_part:
-            hs.append(_edgeless(count_for(leaves_per_x, v.label)))
+    for lbl in bipartite.labels:
+        if lbl in x_part:
+            hs.append(_edgeless(count_for(leaves_per_x, lbl)))
         else:
-            hs.append(_disjoint_edges(count_for(triangles_per_y, v.label)))
+            hs.append(_disjoint_edges(count_for(triangles_per_y, lbl)))
     return attach(bipartite, hs)
 
 

@@ -339,14 +339,15 @@ class ComponentwiseReport:
     """Per-degree linearity of components over the generator-degree range.
 
     Only degrees between the minimal and maximal generator degree are
-    tested (``range_limited``); components outside that window coincide
-    with ambient powers of the maximal ideal times the ideal.
+    tested, and ``by_degree`` holds exactly those; above the maximal
+    generator degree every component is the maximal ideal times the
+    previous one, so linearity carries over.  ``degree_range`` is None
+    for the zero ideal.
     """
 
     componentwise_linear: bool
     by_degree: dict[int, bool]
     degree_range: tuple[int, int] | None
-    range_limited: bool = True
 
 
 def is_componentwise_linear(

@@ -7,7 +7,7 @@ used to check.
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 from coverrees import Monomial, VariableUniverse
 
@@ -75,6 +75,65 @@ def colon_exponents(u, v):
         if reduced:
             result[var] = reduced
     return result
+
+
+def _exponent_key(exps):
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def _small_monomials(names, max_degree):
+    """Exponent dicts of every monomial of degree <= max_degree in names."""
+    for d in range(max_degree + 1):
+        for combo in combinations_with_replacement(names, d):
+            exps = {}
+            for v in combo:
+                exps[v] = exps.get(v, 0) + 1
+            yield exps
+
+
+def _rewrite_to_normal_form(exps, rules):
+    """Apply lead -> trail rules until no lead divides; rules must terminate."""
+    while True:
+        for lead, trail in rules:
+            if divides_exponents(lead, exps):
+                out = dict(exps)
+                for v, e in lead.items():
+                    out[v] -= e
+                for v, e in trail.items():
+                    out[v] = out.get(v, 0) + e
+                exps = {v: e for v, e in out.items() if e}
+                break
+        else:
+            return _exponent_key(exps)
+
+
+def split_fibers(x_vars, images, rules, max_degree=2):
+    """Fibers of the Rees map on which the rules leave several normal forms.
+
+    ``images[j-1]`` is the exponent dict of the generator u_j over
+    ``x_vars``, and ``rules`` holds (lead, trail) exponent dicts over
+    ``x_vars`` and ``y1..yq``.  Every presentation monomial of y-degree and
+    base degree at most ``max_degree`` is grouped by its image under
+    x_i -> x_i, y_j -> u_j * t.  The kernel of that map is toric with finite
+    fibers, so rules forming a Groebner basis of the whole kernel rewrite
+    every member of a fiber to one normal form.  Returns the fibers, as
+    lists of member exponent dicts, whose members reach more than one.
+    """
+    y_images = {f"y{j}": u for j, u in enumerate(images, start=1)}
+    fibers = {}
+    for ys in _small_monomials(list(y_images), max_degree):
+        for xs in _small_monomials(x_vars, max_degree):
+            image = dict(xs)
+            for y, e in ys.items():
+                for v, a in y_images[y].items():
+                    image[v] = image.get(v, 0) + a * e
+            image["t"] = sum(ys.values())
+            fibers.setdefault(_exponent_key(image), []).append({**xs, **ys})
+    return [
+        members
+        for members in fibers.values()
+        if len({_rewrite_to_normal_form(m, rules) for m in members}) > 1
+    ]
 
 
 def order_admits_linear_quotients(exponent_dicts):

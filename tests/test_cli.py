@@ -108,6 +108,15 @@ def test_analyze_verifies_three_path(capsys):
     assert err == ""
 
 
+def test_analyze_betti_reports_linear_resolution_of_equigenerated_powers(capsys):
+    code, out, _ = run(capsys, "analyze", "complete:3", "-k", "2", "--betti")
+    assert code == 0
+    k_lines = [l for l in out.splitlines() if l.startswith("k=")]
+    assert len(k_lines) == 2
+    for line in k_lines:
+        assert "linear-resolution=yes componentwise-linear=yes" in line
+
+
 def test_analyze_certifies_three_triangle_friendship_graph(capsys):
     code, out, _ = run(capsys, "--max-gens", "64", "analyze", "friendship:3", "-k", "2")
     assert code == 0
@@ -223,8 +232,6 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "covers", "cycle:2")[0] == 2
     assert run(capsys, "covers", "missing_file.json")[0] == 2
     assert run(capsys, "construct", "attach(edge)")[0] == 2
-    assert run(capsys, "analyze", "path:3", "-k", "0")[0] == 2
-    assert run(capsys, "betti", "path:3", "--power", "0")[0] == 2
     for name, doc in [
         ("nested_edge.json", {"vertices": ["a", "b"], "edges": [[["a"], "b"]]}),
         (
@@ -246,6 +253,8 @@ def test_bounds_below_one_are_usage_errors(capsys):
         ["--max-gens", "0", "analyze", "path:2"],
         ["--gb-degree-cap", "0", "rees", "path:2"],
         ["--gb-degree-cap", "-5", "rees", "path:2"],
+        ["analyze", "path:3", "-k", "0"],
+        ["betti", "path:3", "--power", "0"],
     ]:
         with pytest.raises(SystemExit) as exc:
             main(argv)

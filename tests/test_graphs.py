@@ -8,7 +8,6 @@ import pytest
 from coverrees import (
     Graph,
     Poset,
-    Vertex,
     VertexCover,
     attach,
     build_graph,
@@ -80,8 +79,6 @@ def test_standard_families():
     assert star.labels == ("z1", "z2", "z3", "x1")
     assert set(star.neighbors("x1")) == {"z1", "z2", "z3"}
     assert star.n_edges == 3
-    assert star.vertices[0].kind == "attached"
-    assert star.vertices[-1].kind == "base"
 
     fr = standard_family("friendship", 2)
     assert fr.labels == ("z1", "z2", "z3", "z4", "x1")
@@ -129,9 +126,6 @@ def test_attach_basics():
     assert g.n_edges == 7
     assert g.has_edge("z1_1", "z1_2") and g.has_edge("z1_1", "x1")
     assert g.has_edge("z2_2", "x2") and not g.has_edge("z1_1", "x2")
-    kinds = [v.kind for v in g.vertices]
-    assert kinds == ["attached"] * 4 + ["base"] * 2
-    assert g.vertices[2].host == 2 and g.vertices[2].index == 1
 
     # attach over a star reproduces a cone shape: one vertex, one piece
     single = standard_family("path", 1)

@@ -1,5 +1,7 @@
 """Rees presentations, the x-condition, and standard-monomial generation."""
 
+import time
+
 import pytest
 
 from coverrees import (
@@ -22,8 +24,10 @@ from coverrees import (
     standard_family,
     standard_monomials,
     variable,
+    parse_construction,
     x_condition,
 )
+from oracles import split_fibers
 
 
 def _present(graph, config=None):
@@ -279,3 +283,29 @@ def test_standard_images_lie_in_the_power():
             kth = power(p.ideal, k)
             for m in sm.mapped_generators:
                 assert kth.contains(m)
+
+
+def _fiber_inputs(presentation):
+    x_vars = list(presentation.universe.s_vars)
+    images = [dict(u.exps) for u in presentation.generators]
+    rules = [(dict(e.lead.exps), dict(e.trail.exps)) for e in presentation.basis.elements]
+    return x_vars, images, rules
+
+
+def test_kernel_bases_leave_no_split_fiber():
+    started = time.perf_counter()
+    for text in [
+        "path:3",
+        "path:7",
+        "cycle:5",
+        "cycle:6",
+        "cone(cycle:5)",
+        "friendship:2",
+        "attach(edge;edge,edge)",
+    ]:
+        x_vars, images, rules = _fiber_inputs(_present(parse_construction(text)))
+        assert split_fibers(x_vars, images, rules) == [], text
+    # negative control on the attach basis: dropping one element splits a fiber
+    assert split_fibers(x_vars, images, rules[1:])
+    assert split_fibers(x_vars, images, rules[:-1])
+    assert time.perf_counter() - started < 1.0

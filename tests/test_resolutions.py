@@ -300,7 +300,6 @@ def test_is_componentwise_linear():
     assert rep.componentwise_linear
     assert rep.by_degree == {1: True, 2: True}
     assert rep.degree_range == (1, 2)
-    assert rep.range_limited
 
     c4 = cover_ideal(standard_family("cycle", 4))
     bad = is_componentwise_linear(c4)
