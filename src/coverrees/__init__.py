@@ -8,7 +8,6 @@ quotients, and (componentwise) linear resolutions.
 
 from .binomial_gb import (
     Binomial,
-    GBConfig,
     GroebnerBasis,
     buchberger,
     initial_ideal,
@@ -44,13 +43,8 @@ from .graphs import (
     standard_family,
 )
 from .monomials import (
-    ELIM_SHARP,
-    LEX_ON_S,
-    LEX_ON_Y,
-    SHARP,
     Monomial,
     MonomialIdeal,
-    MonomialOrder,
     VariableUniverse,
     canonical_key,
     colon,

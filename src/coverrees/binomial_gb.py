@@ -2,11 +2,12 @@
 
 Everything here works on oriented pairs of monomials (lead minus trail,
 coefficients fixed at +1/-1), which is closed under S-pairs and
-reduction, so no field arithmetic ever happens.  Toric kernels of
-monomial maps are computed by adjoining an elimination variable, running
-Buchberger under the elimination order, and keeping the elimination-free
-part; since the elimination order restricted to those monomials is the
-``sharp`` order, the result is the reduced basis under ``sharp``.
+reduction, so no field arithmetic ever happens.  The order is the one
+of ``monomials``, lex on the exponent tuple, so comparing two terms
+compares their ``exponents``.  Toric kernels of monomial maps are
+computed by adjoining an elimination variable, which that order puts
+above every other variable, and keeping the elimination-free part of the
+reduced basis: the reduced basis of the kernel under the same order.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from typing import Iterable, Sequence
 
 from .errors import DegreeCapExceeded
 from .monomials import (
-    ELIM_SHARP,
-    SHARP,
     Monomial,
     MonomialIdeal,
-    MonomialOrder,
     VariableUniverse,
     minimalize,
     variable,
@@ -30,7 +28,6 @@ from .monomials import (
 __all__ = [
     "Binomial",
     "GroebnerBasis",
-    "GBConfig",
     "oriented_binomial",
     "reduce_binomial",
     "s_pair",
@@ -43,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Binomial:
-    """lead - trail with lead strictly greater under the session order."""
+    """lead - trail; ``oriented_binomial`` makes the larger term the lead."""
 
     lead: Monomial
     trail: Monomial
@@ -58,23 +55,16 @@ class Binomial:
         return f"{self.lead} - {self.trail}"
 
 
-def oriented_binomial(u: Monomial, v: Monomial, order: MonomialOrder) -> Binomial | None:
-    """Orient u - v under the order; None means the difference is zero."""
-    c = order.compare(u, v)
-    if c == 0:
+def oriented_binomial(u: Monomial, v: Monomial) -> Binomial | None:
+    """Orient u - v so the larger term leads; None means the difference is zero."""
+    if u == v:
         return None
-    return Binomial(u, v) if c > 0 else Binomial(v, u)
-
-
-@dataclass(frozen=True)
-class GBConfig:
-    degree_cap: int = 40
+    return Binomial(u, v) if u.exponents > v.exponents else Binomial(v, u)
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     universe: VariableUniverse
-    order: MonomialOrder
     elements: tuple[Binomial, ...]
 
     def dump(self) -> str:
@@ -97,9 +87,7 @@ def _normal_form_monomial(m: Monomial, elements: Sequence[Binomial]) -> Monomial
         m = r
 
 
-def reduce_binomial(
-    b: Binomial, elements: Sequence[Binomial], order: MonomialOrder
-) -> Binomial | None:
+def reduce_binomial(b: Binomial, elements: Sequence[Binomial]) -> Binomial | None:
     """Full normal form of a binomial; None when it reduces to zero.
 
     Both terms are rewritten until neither is divisible by any lead.
@@ -118,46 +106,39 @@ def reduce_binomial(
             p = r
         if p == q:
             return None
-        if order.compare(p, q) < 0:
+        if p.exponents < q.exponents:
             p, q = q, p
 
 
-def s_pair(f: Binomial, g: Binomial, order: MonomialOrder) -> Binomial | None:
+def s_pair(f: Binomial, g: Binomial) -> Binomial | None:
     """The S-binomial of f and g; None when the terms already agree."""
     l = f.lead.lcm(g.lead)
     a = (l / f.lead) * f.trail
     b = (l / g.lead) * g.trail
-    return oriented_binomial(a, b, order)
+    return oriented_binomial(a, b)
 
 
-def _interreduce(elements: list[Binomial], order: MonomialOrder) -> list[Binomial]:
-    ordered = sorted(elements, key=lambda e: (order.key(e.lead), order.key(e.trail)))
+def _interreduce(elements: list[Binomial]) -> list[Binomial]:
+    """The reduced basis of a Groebner basis, ascending by lead."""
+    ordered = sorted(elements, key=lambda e: (e.lead.exponents, e.trail.exponents))
     kept: list[Binomial] = []
     for e in ordered:
         if not any(k.lead.divides(e.lead) for k in kept):
             kept.append(e)
-    reduced = []
-    for e in kept:
-        trail = _normal_form_monomial(e.trail, kept)
-        reduced.append(Binomial(e.lead, trail))
-    reduced.sort(key=lambda e: order.key(e.lead))
-    return reduced
+    return [Binomial(e.lead, _normal_form_monomial(e.trail, kept)) for e in kept]
 
 
-def buchberger(
-    gens: Iterable[Binomial], order: MonomialOrder, config: GBConfig | None = None
-) -> GroebnerBasis:
+def buchberger(gens: Iterable[Binomial], *, degree_cap: int = 40) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal the generators span.
 
-    Pair selection follows the normal strategy (smallest lcm under the
-    order, ties by insertion index).  Pairs wait in a heap keyed once per
-    pair, when the pair is formed: basis elements are only appended, so
-    a pair's lcm never changes.  Pairs with coprime leads are skipped, and
-    so is a pair (i, j) when some other lead divides its lcm and both
-    (i, k) and (j, k) are already done (the chain criterion).  A degree
-    cap aborts runaway computations with a diagnostic.
+    Pair selection follows the normal strategy (smallest lcm, ties by
+    insertion index).  Pairs wait in a heap keyed once per pair, when the
+    pair is formed: basis elements are only appended, so a pair's lcm
+    never changes.  Pairs with coprime leads are skipped, and so is a pair
+    (i, j) when some other lead divides its lcm and both (i, k) and (j, k)
+    are already done (the chain criterion).  An element of total degree
+    above ``degree_cap`` aborts the run with ``DegreeCapExceeded``.
     """
-    cfg = config or GBConfig()
     basis: list[Binomial] = []
     universe: VariableUniverse | None = None
     for b in gens:
@@ -165,14 +146,14 @@ def buchberger(
             universe = b.lead.universe
         elif b.lead.universe != universe:
             raise ValueError("generators live in different universes")
-        reoriented = oriented_binomial(b.lead, b.trail, order)
+        reoriented = oriented_binomial(b.lead, b.trail)
         if reoriented is not None and reoriented not in basis:
             basis.append(reoriented)
     if universe is None:
         raise ValueError("buchberger needs at least one generator to fix the universe")
 
     def pair_entry(i: int, j: int) -> tuple[tuple[int, ...], int, int]:
-        return (order.key(basis[i].lead.lcm(basis[j].lead)), i, j)
+        return (basis[i].lead.lcm(basis[j].lead).exponents, i, j)
 
     pairs = [pair_entry(i, j) for j in range(len(basis)) for i in range(j)]
     heapq.heapify(pairs)
@@ -191,35 +172,33 @@ def buchberger(
             if k != i and k != j and h.lead.divides(l)
         ):
             continue
-        s = s_pair(f, g, order)
+        s = s_pair(f, g)
         if s is None:
             continue
-        nf = reduce_binomial(s, basis, order)
+        nf = reduce_binomial(s, basis)
         if nf is None:
             continue
-        if max(nf.lead.total_degree, nf.trail.total_degree) > cfg.degree_cap:
+        if max(nf.lead.total_degree, nf.trail.total_degree) > degree_cap:
             raise DegreeCapExceeded(
-                f"element of degree > {cfg.degree_cap} produced; raise the cap to continue"
+                f"element of degree > {degree_cap} produced; raise the cap to continue"
             )
         basis.append(nf)
         new = len(basis) - 1
         for k in range(new):
             heapq.heappush(pairs, pair_entry(k, new))
 
-    reduced = _interreduce(basis, order)
-    return GroebnerBasis(universe, order, tuple(reduced))
+    return GroebnerBasis(universe, tuple(_interreduce(basis)))
 
 
-def toric_kernel(
-    images: Sequence[Monomial], config: GBConfig | None = None
-) -> GroebnerBasis:
-    """Kernel of x_i -> x_i, y_j -> images[j] as a reduced basis under sharp.
+def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = 40) -> GroebnerBasis:
+    """Kernel of x_i -> x_i, y_j -> images[j] as a reduced basis.
 
     Every image must be a base-block monomial times the elimination
     variable to the first power (a monomial map into degree one of the
-    auxiliary grading).  The graph ideal (y_j - image_j) is closed under
-    the elimination order and the elimination-free part of its reduced
-    basis is returned over the universe without the elimination variable.
+    auxiliary grading).  The reduced basis of the graph ideal
+    (y_j - image_j) is computed with the elimination variable above
+    everything, and its elimination-free part is returned over the
+    universe without that variable.
     """
     if not images:
         raise ValueError("toric_kernel needs at least one image")
@@ -240,9 +219,8 @@ def toric_kernel(
                 f"image {img} must be a base monomial times {u0.elim_var} to the first power"
             )
         lifted = img.restricted(full)
-        b = oriented_binomial(lifted, variable(full, f"y{j}"), ELIM_SHARP)
-        gens.append(b)
-    basis = buchberger(gens, ELIM_SHARP, config)
+        gens.append(oriented_binomial(lifted, variable(full, f"y{j}")))
+    basis = buchberger(gens, degree_cap=degree_cap)
     target = full.drop_elim()
     kept = []
     for e in basis.elements:
@@ -251,8 +229,8 @@ def toric_kernel(
         if e.trail.t_degree:
             raise AssertionError("elimination-free lead with elimination in the trail")
         kept.append(Binomial(e.lead.restricted(target), e.trail.restricted(target)))
-    kept.sort(key=lambda e: SHARP.key(e.lead))
-    return GroebnerBasis(target, SHARP, tuple(kept))
+    # dropping t, which is 0 on every kept term, leaves the leads ascending
+    return GroebnerBasis(target, tuple(kept))
 
 
 def initial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
@@ -265,9 +243,9 @@ def is_groebner_basis(basis: GroebnerBasis) -> bool:
     elems = basis.elements
     for j in range(len(elems)):
         for i in range(j):
-            s = s_pair(elems[i], elems[j], basis.order)
+            s = s_pair(elems[i], elems[j])
             if s is None:
                 continue
-            if reduce_binomial(s, elems, basis.order) is not None:
+            if reduce_binomial(s, elems) is not None:
                 return False
     return True

@@ -16,7 +16,6 @@ import json
 import sys
 import time
 
-from .binomial_gb import GBConfig
 from .errors import ResourceLimitExceeded
 from .graphs import Graph, graph_to_json, parse_construction
 from .monomials import cover_ideal, power
@@ -36,9 +35,6 @@ from .resolutions import (
 )
 
 __all__ = ["main", "console_entry"]
-
-LQ_SEARCH_DEFAULT = 24
-BETTI_GENS_DEFAULT = 18
 
 
 def _load_graph(source: str, notes: list | None = None) -> Graph:
@@ -76,7 +72,7 @@ def cmd_covers(args) -> int:
 
 def cmd_rees(args) -> int:
     g = _load_graph(args.graph)
-    presentation = rees_presentation(cover_ideal(g), _gb_config(args))
+    presentation = rees_presentation(cover_ideal(g), degree_cap=args.gb_degree_cap)
     report = x_condition(presentation)
     if args.dump_basis:
         dump = presentation.basis.dump()
@@ -94,16 +90,10 @@ def cmd_rees(args) -> int:
     return 0
 
 
-def _gb_config(args) -> GBConfig:
-    return GBConfig(degree_cap=args.gb_degree_cap)
-
-
-def _lq_bound(args) -> int:
-    return args.max_gens if args.max_gens is not None else LQ_SEARCH_DEFAULT
-
-
-def _betti_bound(args) -> int:
-    return args.max_gens if args.max_gens is not None else BETTI_GENS_DEFAULT
+def _max_gens(args) -> dict:
+    """``max_generators`` when ``--max-gens`` is given; else each search
+    keeps its own default bound."""
+    return {} if args.max_gens is None else {"max_generators": args.max_gens}
 
 
 def cmd_analyze(args) -> int:
@@ -111,7 +101,7 @@ def cmd_analyze(args) -> int:
     notes: list[str] = []
     g = _load_graph(args.graph, notes)
     ideal = cover_ideal(g)
-    presentation = rees_presentation(ideal, _gb_config(args))
+    presentation = rees_presentation(ideal, degree_cap=args.gb_degree_cap)
     report = x_condition(presentation)
     degenerate = presentation.degenerate
     predictions_apply = report.quadratic and not degenerate
@@ -125,7 +115,7 @@ def cmd_analyze(args) -> int:
         cert = None
         lq_ok: bool | None = None
         if not degenerate:
-            cert = find_linear_quotients_order(pk.gens, max_generators=_lq_bound(args))
+            cert = find_linear_quotients_order(pk.gens, **_max_gens(args))
             lq_ok = cert is not None
         entry: dict = {
             "k": k,
@@ -140,7 +130,7 @@ def cmd_analyze(args) -> int:
             "componentwise_by_degree": None,
         }
         if args.betti:
-            cw = is_componentwise_linear(pk, max_generators=_betti_bound(args))
+            cw = is_componentwise_linear(pk, **_max_gens(args))
             # Generated in one degree d, pk is its own degree-d component.
             entry["linear_resolution"] = pk.is_equigenerated() and cw.by_degree[pk.min_degree()]
             entry["componentwise_linear"] = cw.componentwise_linear
@@ -240,7 +230,7 @@ def cmd_betti(args) -> int:
     ideal = cover_ideal(g)
     if args.power > 1:
         ideal = power(ideal, args.power)
-    table = betti_table(ideal, max_generators=_betti_bound(args))
+    table = betti_table(ideal, **_max_gens(args))
     print(table.format_text())
     if args.json:
         doc = {

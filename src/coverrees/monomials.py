@@ -7,11 +7,10 @@ present Rees algebras, and an optional elimination variable ``t``.  A
 monomial stores its exponents once, as a dense tuple laid out
 ``(t, y1, ..., yq, s1, ..., sn)``; arithmetic is element-wise on it.
 
-Every order is lex on a slice of that tuple: ``lex_on_s`` and
-``lex_on_y`` take one block, ``sharp`` drops ``t`` (the y-block decides
-first, the base block breaks ties) and ``elim_sharp`` is the whole tuple,
-so it compares the elimination variable before everything else and
-coincides with ``sharp`` on elimination-free monomials.
+The one monomial order is lex on that tuple (``canonical_key``): ``t``
+decides first, then the y-block, then the base block.  On
+elimination-free monomials it is lex with the y-block above the base
+variables, and on the base block alone it is lex by vertex priority.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "VariableUniverse",
     "Monomial",
-    "MonomialOrder",
     "MonomialIdeal",
-    "LEX_ON_S",
-    "LEX_ON_Y",
-    "SHARP",
-    "ELIM_SHARP",
     "colon",
     "minimalize",
     "cover_ideal",
@@ -49,7 +43,7 @@ class VariableUniverse:
     """Declared variable blocks; the sequence order is the priority.
 
     ``t_block``, ``y_block`` and ``s_block`` slice a monomial's exponent
-    tuple; ``order_slices`` maps each order kind to the slice it compares.
+    tuple.
     """
 
     def __init__(
@@ -77,12 +71,6 @@ class VariableUniverse:
         self.t_block = slice(0, y_start)
         self.y_block = slice(y_start, s_start)
         self.s_block = slice(s_start, None)
-        self.order_slices = {
-            "lex_on_s": self.s_block,
-            "lex_on_y": self.y_block,
-            "sharp": slice(y_start, None),
-            "elim_sharp": slice(None),
-        }
 
     def index_of(self, name: str) -> int:
         """Position of a variable in the exponent tuple."""
@@ -285,56 +273,8 @@ def parse_monomial(text: str, universe: VariableUniverse) -> Monomial:
     return Monomial(universe, exps)
 
 
-# ---------------------------------------------------------------------------
-# Orders
-
-
-class MonomialOrder:
-    """One of the four order kinds: lex on the universe's slice for the
-    kind.  Totality holds on a universe whose variables are all visible to
-    the kind (sharp needs no elimination variable, elim_sharp sees
-    everything)."""
-
-    __slots__ = ("kind",)
-
-    KINDS = ("lex_on_s", "lex_on_y", "sharp", "elim_sharp")
-
-    def __init__(self, kind: str):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-
-    def key(self, m: Monomial) -> tuple[int, ...]:
-        return m.exponents[m.universe.order_slices[self.kind]]
-
-    def compare(self, u: Monomial, v: Monomial) -> int:
-        """-1, 0 or 1 for less / equal / greater under the order."""
-        _same_universe(u, v)
-        ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return -1
-        if ku > kv:
-            return 1
-        return 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self) -> int:
-        return hash(self.kind)
-
-    def __repr__(self) -> str:
-        return f"MonomialOrder({self.kind!r})"
-
-
-LEX_ON_S = MonomialOrder("lex_on_s")
-LEX_ON_Y = MonomialOrder("lex_on_y")
-SHARP = MonomialOrder("sharp")
-ELIM_SHARP = MonomialOrder("elim_sharp")
-
-
 def canonical_key(m: Monomial) -> tuple[int, ...]:
-    """Universe-wide sort key: the whole exponent tuple, i.e. ``elim_sharp``."""
+    """The monomial order as a sort key: the whole exponent tuple, lex."""
     return m.exponents
 
 

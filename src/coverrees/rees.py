@@ -4,19 +4,20 @@ The Rees algebra of an ideal generated by monomials u_1, ..., u_q is
 presented by adjoining y_1, ..., y_q with y_j mapping onto u_j times the
 auxiliary variable; the defining ideal is the toric kernel of that map.
 Generators are sorted so y_1 carries the lex-largest monomial.  The
-x-condition asks every minimal generator of the initial ideal (under
-``sharp``) to carry base degree at most one; when the initial ideal is
-generated in total degree two, powers of the ideal are minimally
-generated by the images of the standard monomials in the y-block.
+kernel's basis is reduced under the package's one order, lex with the
+y-block above the base variables.  The x-condition asks every minimal
+generator of the initial ideal to carry base degree at most one; when
+the initial ideal is generated in total degree two, powers of the ideal
+are minimally generated by the images of the standard monomials in the
+y-block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binomial_gb import GBConfig, GroebnerBasis, initial_ideal, toric_kernel
+from .binomial_gb import GroebnerBasis, initial_ideal, toric_kernel
 from .monomials import (
-    LEX_ON_Y,
     Monomial,
     MonomialIdeal,
     VariableUniverse,
@@ -58,7 +59,7 @@ class ReesPresentation:
         return len(self.generators)
 
 
-def rees_presentation(ideal: MonomialIdeal, config: GBConfig | None = None) -> ReesPresentation:
+def rees_presentation(ideal: MonomialIdeal, *, degree_cap: int = 40) -> ReesPresentation:
     """Present the Rees algebra of a nonzero monomial ideal.
 
     Generators are sorted descending under lex on the base block, so the
@@ -80,7 +81,7 @@ def rees_presentation(ideal: MonomialIdeal, config: GBConfig | None = None) -> R
     with_t = VariableUniverse(ideal.universe.s_vars, (), "t")
     t = with_t.monomial({"t": 1})
     images = [g.restricted(with_t) * t for g in gens]
-    basis = toric_kernel(images, config)
+    basis = toric_kernel(images, degree_cap=degree_cap)
     return ReesPresentation(
         ideal=ideal,
         generators=tuple(gens),
@@ -119,28 +120,25 @@ def x_condition(p: ReesPresentation) -> XConditionReport:
 class StandardMonomialSet:
     """Degree-k monomials in the y-block outside the initial ideal.
 
-    ``members`` are sorted ascending under lex on the y-block and
+    ``members`` are sorted ascending (lex on the y-block) and
     ``mapped_generators[i]`` is the image of ``members[i]`` in the base
-    ring.  The degenerate (unit ideal) case carries empty members and a
-    flag instead of an error.
+    ring.
     """
 
     k: int
     members: tuple[Monomial, ...]
     mapped_generators: tuple[Monomial, ...]
-    degenerate: bool = False
 
 
 def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:
     """Standard monomials of degree k in the y-block.
 
     Only the pure-y minimal generators of the initial ideal can divide a
-    y-monomial, so they are the whole filter.
+    y-monomial, so they are the whole filter.  For the unit ideal the
+    kernel is zero and y1^k, mapped to 1, is the one standard monomial.
     """
     if k < 1:
         raise ValueError("standard_monomials expects k >= 1")
-    if p.degenerate:
-        return StandardMonomialSet(k=k, members=(), mapped_generators=(), degenerate=True)
     in_gens = initial_ideal(p.basis).gens
     pure_y = [m for m in in_gens if m.s_degree == 0]
     members = [
@@ -148,7 +146,7 @@ def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:
         for m in monomials_of_degree(p.universe, k, p.universe.y_vars)
         if not any(g.divides(m) for g in pure_y)
     ]
-    members.sort(key=LEX_ON_Y.key)
+    members.sort(key=canonical_key)
     base = p.ideal.universe
     mapped = [
         product(base, _repeat(p.generators, m.exponents[p.universe.y_block]))
@@ -163,13 +161,9 @@ def minimal_generation_check(p: ReesPresentation, k: int) -> bool:
     """Mapped standard monomials == minimal generators of the k-th power.
 
     Guaranteed to hold when the initial ideal is quadratic; callable (and
-    recorded, not assumed) in every other case.  Degenerate presentations
-    report False since the standard set is empty by convention.
+    recorded, not assumed) in every other case.
     """
-    sm = standard_monomials(p, k)
-    if sm.degenerate:
-        return False
-    return set(sm.mapped_generators) == set(power(p.ideal, k).gens)
+    return set(standard_monomials(p, k).mapped_generators) == set(power(p.ideal, k).gens)
 
 
 def pi_image(p: ReesPresentation, m: Monomial) -> Monomial:

@@ -8,8 +8,9 @@ used to check.
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 
-from coverrees import Monomial, VariableUniverse
+from coverrees import Monomial, VariableUniverse, canonical_key
 
 
 def brute_minimal_covers(graph):
@@ -153,6 +154,26 @@ def order_admits_linear_quotients(exponent_dicts):
     return True
 
 
+def herzog_takayama_betti(exponent_dicts):
+    """Graded Betti numbers of an ideal with linear quotients, by formula.
+
+    ``exponent_dicts`` lists the generators u_1, ..., u_m in an order with
+    linear quotients and nondecreasing degree.  Then (u_1..u_{j-1}) : u_j is
+    generated by r_j variables, the distinct degree-one colons u_i : u_j
+    with i < j, and beta_{i,i+d} is the sum of C(r_j, i) over the
+    generators of degree d (Herzog and Takayama, "Resolutions by mapping
+    cones", 2002).  Returns the nonzero entries as {(i, i + d): beta}.
+    """
+    betti = {}
+    for j, u in enumerate(exponent_dicts):
+        colons = [colon_exponents(v, u) for v in exponent_dicts[:j]]
+        r = len({_exponent_key(c) for c in colons if sum(c.values()) == 1})
+        d = sum(u.values())
+        for i in range(r + 1):
+            betti[(i, i + d)] = betti.get((i, i + d), 0) + comb(r, i)
+    return betti
+
+
 def exhaustive_linear_quotients(monomials):
     """Try every permutation; return an admissible order or None."""
     exps = [dict(m.exps) for m in monomials]
@@ -161,6 +182,12 @@ def exhaustive_linear_quotients(monomials):
         if order_admits_linear_quotients(ordered):
             return [monomials[i] for i in perm]
     return None
+
+
+def compare_monomials(u, v):
+    """-1, 0 or 1 as u is below, equal to or above v in the monomial order."""
+    ku, kv = canonical_key(u), canonical_key(v)
+    return (ku > kv) - (ku < kv)
 
 
 def random_monomial(rng, universe, max_degree=6):

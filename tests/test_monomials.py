@@ -1,4 +1,4 @@
-"""Monomial arithmetic, the four orders, and monomial-ideal helpers."""
+"""Monomial arithmetic, the monomial order, and monomial-ideal helpers."""
 
 import random
 from itertools import combinations_with_replacement
@@ -7,13 +7,8 @@ from math import comb
 import pytest
 
 from coverrees import (
-    ELIM_SHARP,
-    LEX_ON_S,
-    LEX_ON_Y,
-    SHARP,
     Monomial,
     MonomialIdeal,
-    MonomialOrder,
     VariableUniverse,
     canonical_key,
     colon,
@@ -21,6 +16,7 @@ from coverrees import (
     cover_ideal,
     minimalize,
     monomials_of_degree,
+    oriented_binomial,
     parse_monomial,
     power,
     product,
@@ -28,7 +24,7 @@ from coverrees import (
     variable,
 )
 
-from oracles import random_monomial, random_universe
+from oracles import compare_monomials, random_monomial, random_universe
 
 
 def test_universe_blocks():
@@ -148,7 +144,7 @@ def test_cross_universe_operations_rejected():
     with pytest.raises(ValueError):
         variable(u1, "x1").divides(variable(u2, "x1"))
     with pytest.raises(ValueError):
-        LEX_ON_S.compare(variable(u1, "x1"), variable(u2, "x2"))
+        oriented_binomial(variable(u1, "x1"), variable(u2, "x2"))
 
 
 def test_equal_universes_built_apart_interoperate():
@@ -163,7 +159,7 @@ def test_equal_universes_built_apart_interoperate():
     assert a * x1 == u1.monomial({"x1": 3, "y1": 1})
     assert a / x1 == u1.monomial({"x1": 1, "y1": 1})
     assert x1.divides(a) and a.lcm(x1) == a and a.gcd(x1) == x1
-    assert SHARP.compare(a, b) == 0
+    assert canonical_key(a) == canonical_key(b)
 
 
 def test_order_examples():
@@ -171,65 +167,59 @@ def test_order_examples():
     x2y1 = u.monomial({"x2": 1, "y1": 1})
     x1x3y2 = u.monomial({"x1": 1, "x3": 1, "y2": 1})
     # the y block decides first, and y1 beats any power of y2
-    assert SHARP.compare(x2y1, x1x3y2) == 1
-    assert SHARP.compare(x1x3y2, x2y1) == -1
+    assert compare_monomials(x2y1, x1x3y2) == 1
+    assert compare_monomials(x1x3y2, x2y1) == -1
 
     ty1 = u.monomial({"t": 1, "y1": 1})
     xy = u.monomial({"x1": 2, "y2": 3})
     # any elimination degree beats everything without it
-    assert ELIM_SHARP.compare(ty1, xy) == 1
-    # without t, elim_sharp falls back to sharp
-    assert ELIM_SHARP.compare(x2y1, x1x3y2) == SHARP.compare(x2y1, x1x3y2)
+    assert compare_monomials(ty1, xy) == 1
+    # without t, the comparison is the one of the universe without t
+    no_t = u.drop_elim()
+    assert compare_monomials(x2y1, x1x3y2) == compare_monomials(
+        x2y1.restricted(no_t), x1x3y2.restricted(no_t)
+    )
 
     x1x3 = u.monomial({"x1": 1, "x3": 1})
     x2sq = u.monomial({"x2": 2})
-    assert LEX_ON_S.compare(x1x3, x2sq) == 1  # exponent of x1 decides
-    assert LEX_ON_Y.compare(x1x3, x2sq) == 0  # both have empty y part
+    assert compare_monomials(x1x3, x2sq) == 1  # exponent of x1 decides
 
     y1 = u.monomial({"y1": 1})
     y2cube = u.monomial({"y2": 3})
-    assert LEX_ON_Y.compare(y1, y2cube) == 1
+    assert compare_monomials(y1, y2cube) == 1
 
 
-def test_order_kind_validation():
-    with pytest.raises(ValueError):
-        MonomialOrder("degrevlex")
-    assert MonomialOrder("sharp") == SHARP
-    assert len({LEX_ON_S, LEX_ON_Y, SHARP, ELIM_SHARP}) == 4
-
-
-def _axiom_universe(rng, kind):
-    if kind == "lex_on_s":
+def _axiom_universe(rng, shape):
+    if shape == "base":
         return random_universe(rng, max_y=0, with_t=False)
-    if kind == "lex_on_y":
+    if shape == "y":
         return VariableUniverse((), tuple(f"y{j}" for j in range(1, rng.randint(1, 4) + 1)))
-    if kind == "sharp":
+    if shape == "base+y":
         return random_universe(rng, with_t=False)
     return random_universe(rng, with_t=True)
 
 
 def test_order_axioms_sampled():
-    # a quicker version of the big acceptance sweep: each kind is total on
-    # universes it fully sees, respects multiplication, and refines division
+    # a quicker version of the big acceptance sweep: on every universe shape
+    # the order is total, respects multiplication, and refines division
     rng = random.Random(90125)
-    for kind in MonomialOrder.KINDS:
-        order = MonomialOrder(kind)
+    for shape in ("base", "y", "base+y", "base+y+t"):
         for _ in range(500):
-            u = _axiom_universe(rng, kind)
+            u = _axiom_universe(rng, shape)
             a = random_monomial(rng, u, max_degree=5)
             b = random_monomial(rng, u, max_degree=5)
             c = random_monomial(rng, u, max_degree=4)
-            assert order.compare(a, a) == 0
-            assert order.compare(a, b) == -order.compare(b, a)
-            if order.compare(a, b) == 0:
+            assert compare_monomials(a, a) == 0
+            assert compare_monomials(a, b) == -compare_monomials(b, a)
+            if compare_monomials(a, b) == 0:
                 assert a == b
-            if order.compare(a, b) <= 0 and order.compare(b, c) <= 0:
-                assert order.compare(a, c) <= 0
-            assert order.compare(a * c, b * c) == order.compare(a, b)
+            if compare_monomials(a, b) <= 0 and compare_monomials(b, c) <= 0:
+                assert compare_monomials(a, c) <= 0
+            assert compare_monomials(a * c, b * c) == compare_monomials(a, b)
             if not a.is_one:
-                assert order.compare(a, u.one()) == 1
+                assert compare_monomials(a, u.one()) == 1
             if a.divides(b):
-                assert order.compare(a, b) <= 0
+                assert compare_monomials(a, b) <= 0
 
 
 def test_canonical_key_orders_blockwise():

@@ -5,9 +5,7 @@ import time
 import pytest
 
 from coverrees import (
-    GBConfig,
     DegreeCapExceeded,
-    LEX_ON_Y,
     MonomialIdeal,
     VariableUniverse,
     attach,
@@ -30,8 +28,8 @@ from coverrees import (
 from oracles import split_fibers
 
 
-def _present(graph, config=None):
-    return rees_presentation(cover_ideal(graph), config)
+def _present(graph, **kwargs):
+    return rees_presentation(cover_ideal(graph), **kwargs)
 
 
 def test_presentation_sorts_generators_descending():
@@ -67,7 +65,7 @@ def test_presentation_rejects_label_collisions():
 
 def test_presentation_respects_config():
     with pytest.raises(DegreeCapExceeded):
-        _present(standard_family("path", 2), GBConfig(degree_cap=1))
+        _present(standard_family("path", 2), degree_cap=1)
 
 
 def test_degenerate_unit_ideal():
@@ -76,9 +74,13 @@ def test_degenerate_unit_ideal():
     assert p.degenerate
     assert [str(m) for m in p.generators] == ["1"]
     assert p.basis.elements == ()
+    # the kernel is zero, so y1^k is standard and maps to 1, the generator
+    # of (1)^k
     sm = standard_monomials(p, 2)
-    assert sm.degenerate and sm.members == () and sm.mapped_generators == ()
-    assert minimal_generation_check(p, 1) is False
+    assert [str(m) for m in sm.members] == ["y1^2"]
+    assert [str(m) for m in sm.mapped_generators] == ["1"]
+    assert minimal_generation_check(p, 1) is True
+    assert minimal_generation_check(p, 2) is True
 
 
 def test_x_condition_on_two_vertex_graph():
@@ -175,8 +177,7 @@ def test_standard_monomials_of_three_path():
         "x1*x2*x3",
         "x1^2*x3^2",
     ]
-    assert not sm.degenerate
-    keys = [LEX_ON_Y.key(m) for m in sm.members]
+    keys = [canonical_key(m) for m in sm.members]
     assert keys == sorted(keys)
 
     first = standard_monomials(p, 1)

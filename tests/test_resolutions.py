@@ -19,6 +19,7 @@ from coverrees import (
     is_componentwise_linear,
     lcm_lattice,
     minimalize,
+    parse_construction,
     parse_monomial,
     power,
     standard_family,
@@ -29,6 +30,7 @@ from coverrees import (
 from oracles import (
     exhaustive_linear_quotients,
     fraction_rank,
+    herzog_takayama_betti,
     order_admits_linear_quotients,
     random_monomial,
 )
@@ -292,6 +294,32 @@ def test_linear_quotients_imply_linear_resolution_when_equigenerated():
             assert has_linear_resolution(ideal)
             exercised += 1
     assert exercised >= 2
+
+
+# cover-ideal powers whose linear-quotients certificate orders the
+# generators by nondecreasing degree; half are not equigenerated
+HERZOG_TAKAYAMA_CASES = [
+    ("path:3", 2),
+    ("path:5", 1),
+    ("star:3", 3),
+    ("friendship:2", 1),
+    ("cone(path:3)", 3),
+    ("path:4", 3),
+    ("cycle:5", 2),
+    ("cw(complete_bipartite:1,1;leaves=1;triangles=1)", 2),
+]
+
+
+def test_betti_tables_match_herzog_takayama_formula():
+    for text, k in HERZOG_TAKAYAMA_CASES:
+        ideal = power(cover_ideal(parse_construction(text)), k)
+        cert = find_linear_quotients_order(ideal.gens)
+        assert cert is not None, (text, k)
+        degrees = [m.total_degree for m in cert.ordering]
+        assert degrees == sorted(degrees), (text, k)
+        ordered = [dict(m.exps) for m in cert.ordering]
+        assert order_admits_linear_quotients(ordered), (text, k)
+        assert betti_table(ideal).entries == herzog_takayama_betti(ordered), (text, k)
 
 
 def test_is_componentwise_linear():
