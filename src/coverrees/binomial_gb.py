@@ -4,16 +4,20 @@ Everything here works on oriented pairs of monomials (lead minus trail,
 coefficients fixed at +1/-1), which is closed under S-pairs and
 reduction, so no field arithmetic ever happens.  The order is the one
 of ``monomials``, lex on the exponent tuple, so comparing two terms
-compares their ``exponents``.  Toric kernels of monomial maps are
-computed by adjoining an elimination variable, which that order puts
-above every other variable, and keeping the elimination-free part of the
-reduced basis: the reduced basis of the kernel under the same order.
+compares their ``exponents``; the hot loops (divisibility, rewriting)
+run on those raw tuples with a support-bitmask prefilter.  Toric kernels
+of monomial maps are computed by adjoining an elimination variable,
+which that order puts above every other variable, and keeping the
+elimination-free part of the reduced basis: the reduced basis of the
+kernel under the same order.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from .errors import DegreeCapExceeded
@@ -21,11 +25,13 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     VariableUniverse,
+    _monomial,
     minimalize,
     variable,
 )
 
 __all__ = [
+    "DEGREE_CAP",
     "Binomial",
     "GroebnerBasis",
     "oriented_binomial",
@@ -36,6 +42,10 @@ __all__ = [
     "initial_ideal",
     "is_groebner_basis",
 ]
+
+
+# (lead exponents, support mask of the lead, trail exponents)
+_Rule = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,13 @@ class Binomial:
 
     def __str__(self) -> str:
         return f"{self.lead} - {self.trail}"
+
+    @cached_property
+    def _rule(self) -> _Rule:
+        """The rewrite lead -> trail on raw exponent tuples:
+        ``(lead exponents, support mask of the lead, trail exponents)``."""
+        lead = self.lead.exponents
+        return lead, _support(lead), self.trail.exponents
 
 
 def oriented_binomial(u: Monomial, v: Monomial) -> Binomial | None:
@@ -72,19 +89,42 @@ class GroebnerBasis:
         return "\n".join(str(b) for b in self.elements)
 
 
-def _rewrite_once(m: Monomial, elements: Sequence[Binomial]) -> Monomial | None:
-    for g in elements:
-        if g.lead.divides(m):
-            return (m / g.lead) * g.trail
+def _support(exponents: tuple[int, ...]) -> int:
+    """Bitmask of the positions where an exponent tuple is nonzero."""
+    mask = 0
+    for k, e in enumerate(exponents):
+        if e:
+            mask |= 1 << k
+    return mask
+
+
+def _divides(
+    small: tuple[int, ...], small_mask: int, large: tuple[int, ...], large_mask: int
+) -> bool:
+    """Whether ``small`` divides ``large``, given their support masks."""
+    return not small_mask & ~large_mask and all(map(le, small, large))
+
+
+def _rewrite_once(m: tuple[int, ...], rules: Sequence[_Rule]) -> tuple[int, ...] | None:
+    """m rewritten by the first rule whose lead divides it; None when none does."""
+    mask = _support(m)
+    for lead, lead_mask, trail in rules:
+        # _divides inlined: this is the innermost loop of every reduction
+        if not lead_mask & ~mask and all(map(le, lead, m)):
+            return tuple([e - a + b for e, a, b in zip(m, lead, trail)])
     return None
 
 
-def _normal_form_monomial(m: Monomial, elements: Sequence[Binomial]) -> Monomial:
+def _normal_form(m: tuple[int, ...], rules: Sequence[_Rule]) -> tuple[int, ...]:
     while True:
-        r = _rewrite_once(m, elements)
+        r = _rewrite_once(m, rules)
         if r is None:
             return m
         m = r
+
+
+def _term(universe: VariableUniverse, exponents: tuple[int, ...]) -> Monomial:
+    return _monomial(universe, exponents, sum(exponents))
 
 
 def reduce_binomial(b: Binomial, elements: Sequence[Binomial]) -> Binomial | None:
@@ -94,20 +134,23 @@ def reduce_binomial(b: Binomial, elements: Sequence[Binomial]) -> Binomial | Non
     Each rewrite strictly decreases the rewritten term, so the loop
     terminates; when the terms collide the binomial cancels.
     """
-    p, q = b.lead, b.trail
+    rules = [e._rule for e in elements]
+    p, q = b.lead.exponents, b.trail.exponents
     while True:
-        r = _rewrite_once(p, elements)
+        r = _rewrite_once(p, rules)
         if r is None:
-            r = _rewrite_once(q, elements)
+            r = _rewrite_once(q, rules)
             if r is None:
-                return Binomial(p, q)
+                break
             q = r
         else:
             p = r
         if p == q:
             return None
-        if p.exponents < q.exponents:
+        if p < q:
             p, q = q, p
+    universe = b.lead.universe
+    return Binomial(_term(universe, p), _term(universe, q))
 
 
 def s_pair(f: Binomial, g: Binomial) -> Binomial | None:
@@ -125,21 +168,48 @@ def _interreduce(elements: list[Binomial]) -> list[Binomial]:
     for e in ordered:
         if not any(k.lead.divides(e.lead) for k in kept):
             kept.append(e)
-    return [Binomial(e.lead, _normal_form_monomial(e.trail, kept)) for e in kept]
+    rules = [k._rule for k in kept]
+    return [
+        Binomial(e.lead, _term(e.lead.universe, _normal_form(e.trail.exponents, rules)))
+        for e in kept
+    ]
 
 
-def buchberger(gens: Iterable[Binomial], *, degree_cap: int = 40) -> GroebnerBasis:
+DEGREE_CAP = 40
+"""Default bound on the total degree of a basis element."""
+
+
+def buchberger(
+    gens: Iterable[Binomial],
+    *,
+    degree_cap: int = DEGREE_CAP,
+    weights: Sequence[int] | None = None,
+) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal the generators span.
 
-    Pair selection follows the normal strategy (smallest lcm, ties by
-    insertion index).  Pairs wait in a heap keyed once per pair, when the
-    pair is formed: basis elements are only appended, so a pair's lcm
-    never changes.  Pairs with coprime leads are skipped, and so is a pair
-    (i, j) when some other lead divides its lcm and both (i, k) and (j, k)
-    are already done (the chain criterion).  An element of total degree
-    above ``degree_cap`` aborts the run with ``DegreeCapExceeded``.
+    Pair selection is by sugar (Giovini, Mora, Niesi, Robbiano and
+    Traverso, "One sugar cube, please", 1991) in the grading ``weights``,
+    one positive weight per variable in exponent-tuple layout (default:
+    all 1).  A generator's sugar is the larger weighted degree of its two
+    terms; the S-pair of f and g with lead lcm l has sugar
+    max(sug f + w(l) - w(lead f), sug g + w(l) - w(lead g)); a new element
+    keeps its pair's sugar, raised to its own weighted degree if that is
+    larger.  Pairs wait in a heap keyed ``(sugar, lcm exponents, i, j)``.
+    On input homogeneous in the grading the sugar is the weighted degree
+    of the lcm; on any other input it is still a valid selection order.
+
+    Each inserted element h runs the Gebauer-Moeller update ("On an
+    installation of Buchberger's algorithm", 1988): a waiting pair (i, j)
+    is dropped when lead h divides its lcm and differs from both
+    lcm(i, h) and lcm(j, h) (criterion B); of the new pairs (g, h), those
+    whose lcm a different new lcm properly divides are dropped
+    (criterion M), one pair per lcm is kept (criterion F), and an lcm
+    reached by a pair with coprime leads keeps no pair.  New pairs are
+    formed, and reductions run, only with elements whose lead no later
+    lead divides.  An element of total degree above ``degree_cap``
+    aborts the run with ``DegreeCapExceeded``.
     """
-    basis: list[Binomial] = []
+    inputs: list[Binomial] = []
     universe: VariableUniverse | None = None
     for b in gens:
         if universe is None:
@@ -147,50 +217,94 @@ def buchberger(gens: Iterable[Binomial], *, degree_cap: int = 40) -> GroebnerBas
         elif b.lead.universe != universe:
             raise ValueError("generators live in different universes")
         reoriented = oriented_binomial(b.lead, b.trail)
-        if reoriented is not None and reoriented not in basis:
-            basis.append(reoriented)
+        if reoriented is not None and reoriented not in inputs:
+            inputs.append(reoriented)
     if universe is None:
         raise ValueError("buchberger needs at least one generator to fix the universe")
+    if weights is None:
+        weights = (1,) * len(universe.all_vars)
+    elif len(weights) != len(universe.all_vars) or min(weights) < 1:
+        raise ValueError("weights must give one positive integer per variable")
 
-    def pair_entry(i: int, j: int) -> tuple[tuple[int, ...], int, int]:
-        return (basis[i].lead.lcm(basis[j].lead).exponents, i, j)
+    def degree(m: tuple[int, ...]) -> int:
+        return sum(map(mul, weights, m))
 
-    pairs = [pair_entry(i, j) for j in range(len(basis)) for i in range(j)]
-    heapq.heapify(pairs)
-    done: set[tuple[int, int]] = set()
+    basis: list[Binomial] = []
+    sugar: list[int] = []
+    live: list[int] = []
+    reducers: list[Binomial] = []
+    # heap entries: (sugar, lcm, i, j, support mask of the lcm), i < j
+    pairs: list[tuple[int, tuple[int, ...], int, int, int]] = []
 
+    def insert(h: Binomial, sug: int) -> None:
+        new = len(basis)
+        lead, mask, _ = h._rule
+        # criterion B on the waiting pairs
+        survivors = [
+            e
+            for e in pairs
+            if not _divides(lead, mask, e[1], e[4])
+            or tuple(map(max, basis[e[2]].lead.exponents, lead)) == e[1]
+            or tuple(map(max, basis[e[3]].lead.exponents, lead)) == e[1]
+        ]
+        if len(survivors) < len(pairs):
+            pairs[:] = survivors
+            heapq.heapify(pairs)
+        # criteria M and F on the new pairs: one pair per minimal lcm, none
+        # where a pair with coprime leads reaches that lcm
+        # lcm -> [first g reaching it, support mask of the lcm, coprime pair seen]
+        by_lcm: dict[tuple[int, ...], list] = {}
+        for g in live:
+            lead_g, mask_g, _ = basis[g]._rule
+            lcm = tuple(map(max, lead_g, lead))
+            entry = by_lcm.get(lcm)
+            if entry is None:
+                by_lcm[lcm] = [g, mask_g | mask, not mask_g & mask]
+            elif not mask_g & mask:
+                entry[2] = True
+        minimal: list[tuple[tuple[int, ...], int]] = []
+        for lcm in sorted(by_lcm, key=sum):
+            g, lcm_mask, coprime = by_lcm[lcm]
+            if any(_divides(m, m_mask, lcm, lcm_mask) for m, m_mask in minimal):
+                continue
+            minimal.append((lcm, lcm_mask))
+            if not coprime:
+                w = degree(lcm)
+                s = max(
+                    sugar[g] + w - degree(basis[g].lead.exponents),
+                    sug + w - degree(lead),
+                )
+                heapq.heappush(pairs, (s, lcm, g, new, lcm_mask))
+        basis.append(h)
+        sugar.append(sug)
+        still_live = []
+        for g in live:
+            lead_g, mask_g, _ = basis[g]._rule
+            if not _divides(lead, mask, lead_g, mask_g):
+                still_live.append(g)
+        live[:] = still_live + [new]
+        reducers[:] = [basis[g] for g in live]
+
+    for b in inputs:
+        insert(b, max(degree(b.lead.exponents), degree(b.trail.exponents)))
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        f, g = basis[i], basis[j]
-        if f.lead.gcd(g.lead).is_one:
-            continue
-        l = f.lead.lcm(g.lead)
-        if any(
-            (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-            for k, h in enumerate(basis)
-            if k != i and k != j and h.lead.divides(l)
-        ):
-            continue
-        s = s_pair(f, g)
+        sug, _, i, j, _ = heapq.heappop(pairs)
+        s = s_pair(basis[i], basis[j])
         if s is None:
             continue
-        nf = reduce_binomial(s, basis)
+        nf = reduce_binomial(s, reducers)
         if nf is None:
             continue
         if max(nf.lead.total_degree, nf.trail.total_degree) > degree_cap:
             raise DegreeCapExceeded(
                 f"element of degree > {degree_cap} produced; raise the cap to continue"
             )
-        basis.append(nf)
-        new = len(basis) - 1
-        for k in range(new):
-            heapq.heappush(pairs, pair_entry(k, new))
+        insert(nf, max(sug, degree(nf.lead.exponents), degree(nf.trail.exponents)))
 
-    return GroebnerBasis(universe, tuple(_interreduce(basis)))
+    return GroebnerBasis(universe, tuple(_interreduce(reducers)))
 
 
-def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = 40) -> GroebnerBasis:
+def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) -> GroebnerBasis:
     """Kernel of x_i -> x_i, y_j -> images[j] as a reduced basis.
 
     Every image must be a base-block monomial times the elimination
@@ -198,7 +312,9 @@ def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = 40) -> Groebne
     auxiliary grading).  The reduced basis of the graph ideal
     (y_j - image_j) is computed with the elimination variable above
     everything, and its elimination-free part is returned over the
-    universe without that variable.
+    universe without that variable.  Pairs are selected by sugar in the
+    grading w(t) = w(x_i) = 1, w(y_j) = deg images[j], that is deg u_j + 1,
+    under which every generator is homogeneous.
     """
     if not images:
         raise ValueError("toric_kernel needs at least one image")
@@ -220,7 +336,8 @@ def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = 40) -> Groebne
             )
         lifted = img.restricted(full)
         gens.append(oriented_binomial(lifted, variable(full, f"y{j}")))
-    basis = buchberger(gens, degree_cap=degree_cap)
+    weights = (1,) + tuple(img.total_degree for img in images) + (1,) * len(u0.s_vars)
+    basis = buchberger(gens, degree_cap=degree_cap, weights=weights)
     target = full.drop_elim()
     kept = []
     for e in basis.elements:

@@ -16,6 +16,7 @@ import json
 import sys
 import time
 
+from .binomial_gb import DEGREE_CAP
 from .errors import ResourceLimitExceeded
 from .graphs import Graph, graph_to_json, parse_construction
 from .monomials import cover_ideal, power
@@ -273,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--gb-degree-cap",
         type=positive_int,
-        default=40,
+        default=DEGREE_CAP,
         metavar="D",
         help="abort basis computations past this total degree",
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binomial_gb import GroebnerBasis, initial_ideal, toric_kernel
+from .binomial_gb import DEGREE_CAP, GroebnerBasis, initial_ideal, toric_kernel
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -59,7 +59,9 @@ class ReesPresentation:
         return len(self.generators)
 
 
-def rees_presentation(ideal: MonomialIdeal, *, degree_cap: int = 40) -> ReesPresentation:
+def rees_presentation(
+    ideal: MonomialIdeal, *, degree_cap: int = DEGREE_CAP
+) -> ReesPresentation:
     """Present the Rees algebra of a nonzero monomial ideal.
 
     Generators are sorted descending under lex on the base block, so the

@@ -77,14 +77,10 @@ def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
     witnesses: dict[int, dict[int, int]] = {}
     for j0 in range(1, len(gens)):
         f = gens[j0]
-        linear = [
-            (l0, colon(gens[l0], f))
-            for l0 in range(j0)
-            if colon(gens[l0], f).total_degree == 1
-        ]
+        colons = [colon(g, f) for g in gens[:j0]]
+        linear = [(l0, cl) for l0, cl in enumerate(colons) if cl.total_degree == 1]
         wmap: dict[int, int] = {}
-        for i0 in range(j0):
-            ci = colon(gens[i0], f)
+        for i0, ci in enumerate(colons):
             hit = next((l0 for l0, cl in linear if cl.divides(ci)), None)
             if hit is None:
                 return j0 + 1

@@ -310,3 +310,14 @@ def test_kernel_bases_leave_no_split_fiber():
     assert split_fibers(x_vars, images, rules[1:])
     assert split_fibers(x_vars, images, rules[:-1])
     assert time.perf_counter() - started < 1.0
+
+
+def test_sixteen_and_seventeen_cover_kernels_certify():
+    # past the old kernel wall: with lex pair selection these kernels took
+    # about 10 s (path:10) and more than 40 s (friendship:4)
+    for text, size in [("path:10", 86), ("friendship:4", 88)]:
+        p = _present(parse_construction(text))
+        report = x_condition(p)
+        assert report.holds and report.quadratic, text
+        assert len(p.basis.elements) == size, text
+        assert split_fibers(*_fiber_inputs(p)) == [], text
