@@ -79,12 +79,6 @@ class VariableUniverse:
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def block_of(self, name: str) -> str:
-        i = self.index_of(name)
-        if i < self.y_block.start:
-            return "t"
-        return "y" if i < self.s_block.start else "s"
-
     def drop_elim(self) -> "VariableUniverse":
         return VariableUniverse(self.s_vars, self.y_vars, None)
 

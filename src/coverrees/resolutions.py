@@ -3,8 +3,10 @@
 Betti numbers of a monomial ideal are computed exactly: for every
 multidegree in the lcm lattice of the generators, the reduced homology
 of the upper Koszul simplicial complex is taken over the rationals, with
-ranks obtained by fraction-free integer elimination.  Linear quotients
-are certified by explicit witnesses and searched for with two heuristic
+ranks obtained by fraction-free integer elimination; linearity is read
+off the regularity (Eisenbud-Goto, J. Algebra 88, 1984: M_{>=r} has an
+r-linear resolution exactly when reg M <= r).  Linear quotients are
+certified by explicit witnesses and searched for with two heuristic
 orders followed by a memoized backtracking search, which is exact.
 """
 
@@ -19,7 +21,7 @@ from .monomials import (
     MonomialIdeal,
     canonical_key,
     colon,
-    component,
+    component,  # unused; kept because bench/child.py traces resolutions.component
 )
 
 __all__ = [
@@ -178,8 +180,10 @@ def _int_rank(rows: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 # Upper Koszul complexes and Betti tables
 
+BETTI_MAX_GENERATORS, MAX_MULTIDEGREES = 18, 4096  # default Betti-table bounds
 
-def lcm_lattice(ideal: MonomialIdeal, max_multidegrees: int = 4096) -> list[Monomial]:
+
+def lcm_lattice(ideal: MonomialIdeal, max_multidegrees: int = MAX_MULTIDEGREES) -> list[Monomial]:
     """All lcms of nonempty generator subsets (closure under pairwise lcm)."""
     if ideal.is_zero:
         return []
@@ -264,6 +268,10 @@ class BettiTable:
     def max_index(self) -> int:
         return max((i for i, _ in self.entries), default=-1)
 
+    def regularity(self) -> int | float:
+        """max(j - i) over the nonzero entries; -inf for the zero ideal."""
+        return max((j - i for i, j in self.entries), default=float("-inf"))
+
     def format_text(self) -> str:
         if not self.entries:
             return "(zero ideal: empty resolution)"
@@ -283,8 +291,8 @@ class BettiTable:
 
 def betti_table(
     ideal: MonomialIdeal,
-    max_generators: int = 18,
-    max_multidegrees: int = 4096,
+    max_generators: int = BETTI_MAX_GENERATORS,
+    max_multidegrees: int = MAX_MULTIDEGREES,
 ) -> BettiTable:
     """Exact multigraded Betti numbers via upper Koszul homology.
 
@@ -317,17 +325,14 @@ def betti_table(
 
 def has_linear_resolution(
     ideal: MonomialIdeal,
-    max_generators: int = 18,
-    max_multidegrees: int = 4096,
+    max_generators: int = BETTI_MAX_GENERATORS,
+    max_multidegrees: int = MAX_MULTIDEGREES,
 ) -> bool:
-    """Equigenerated in degree d with every beta_{i,j} at j = i + d."""
-    if ideal.is_zero:
-        return True
+    """Equigenerated in degree d and of regularity d (Eisenbud-Goto)."""
     if not ideal.is_equigenerated():
-        return False
-    d = ideal.min_degree()
+        return ideal.is_zero
     table = betti_table(ideal, max_generators, max_multidegrees)
-    return all(j == i + d for i, j in table.entries)
+    return table.regularity() == ideal.min_degree()
 
 
 @dataclass
@@ -335,28 +340,29 @@ class ComponentwiseReport:
     """Per-degree linearity of components over the generator-degree range.
 
     Only degrees between the minimal and maximal generator degree are
-    tested, and ``by_degree`` holds exactly those; above the maximal
-    generator degree every component is the maximal ideal times the
-    previous one, so linearity carries over.  ``degree_range`` is None
-    for the zero ideal.
+    tested, and ``by_degree`` holds exactly those (none for the zero
+    ideal); above the maximal one every component is the maximal ideal
+    times the previous one, so linearity carries over.  By Eisenbud-Goto,
+    I_<j> = (I_<=j)_{>=j} is j-linear exactly when reg(I_<=j) <= j.
     """
 
     componentwise_linear: bool
     by_degree: dict[int, bool]
-    degree_range: tuple[int, int] | None
 
 
 def is_componentwise_linear(
     ideal: MonomialIdeal,
-    max_generators: int = 18,
-    max_multidegrees: int = 4096,
+    max_generators: int = BETTI_MAX_GENERATORS,
+    max_multidegrees: int = MAX_MULTIDEGREES,
 ) -> ComponentwiseReport:
-    """Check every component in the generator-degree range for linearity."""
-    if ideal.is_zero:
-        return ComponentwiseReport(True, {}, None)
-    lo, hi = ideal.min_degree(), ideal.max_degree()
+    """reg(I_<=j) <= j at each generator degree j, I_<=j generated by the
+    generators of degree at most j (Eisenbud-Goto; Herzog-Hibi, Nagoya
+    Math. J. 153, 1999); a degree without generators keeps the one below."""
+    degrees = {g.total_degree for g in ideal.gens}
     by_degree = {}
-    for j in range(lo, hi + 1):
-        comp = component(ideal, j)
-        by_degree[j] = has_linear_resolution(comp, max_generators, max_multidegrees)
-    return ComponentwiseReport(all(by_degree.values()), by_degree, (lo, hi))
+    for j in range(min(degrees, default=0), max(degrees, default=-1) + 1):
+        if j in degrees:
+            gens = [g for g in ideal.gens if g.total_degree <= j]
+            table = betti_table(MonomialIdeal(ideal.universe, gens), max_generators, max_multidegrees)
+        by_degree[j] = table.regularity() <= j
+    return ComponentwiseReport(all(by_degree.values()), by_degree)

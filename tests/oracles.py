@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
-from coverrees import Monomial, VariableUniverse, canonical_key
+from coverrees import Monomial, VariableUniverse, betti_table, canonical_key, component
 
 
 def brute_minimal_covers(graph):
@@ -172,6 +172,25 @@ def herzog_takayama_betti(exponent_dicts):
         for i in range(r + 1):
             betti[(i, i + d)] = betti.get((i, i + d), 0) + comb(r, i)
     return betti
+
+
+def componentwise_by_degree(ideal):
+    """Per-degree componentwise linearity straight from the definition.
+
+    For every d from the lowest to the highest generator degree, builds the
+    component I_<d> (every degree-d monomial of the ideal) and asks whether
+    each nonzero beta_{i,j} of it sits at j = i + d; {} for the zero ideal.
+    The Betti numbers come from ``betti_table`` with its bounds lifted, so
+    this checks the reduction to generator truncations, not the Koszul
+    homology.
+    """
+    if ideal.is_zero:
+        return {}
+    verdicts = {}
+    for d in range(ideal.min_degree(), ideal.max_degree() + 1):
+        table = betti_table(component(ideal, d), 10**6, 10**6)
+        verdicts[d] = all(j == i + d for i, j in table.entries)
+    return verdicts
 
 
 def exhaustive_linear_quotients(monomials):

@@ -140,7 +140,6 @@ def test_criterion_2_path_graph_full_certification():
         cw_rep = is_componentwise_linear(ideal)
         assert cw_rep.componentwise_linear
         assert cw_rep.by_degree == {1: True, 2: True}
-        assert cw_rep.degree_range == (1, 2)
 
 
 def test_criterion_3_four_cycle_negative_control():

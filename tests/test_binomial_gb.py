@@ -188,13 +188,12 @@ def _evaluate(m, images, ext):
     """Substitute y_j -> images[j] and keep the base part; a direct check
     that kernel elements really are relations of the monomial map."""
     out = ext.one()
+    for idx, e in enumerate(m.exponents[m.universe.y_block]):
+        for _ in range(e):
+            out = out * images[idx]
+    y_vars = set(m.universe.y_vars)
     for name, e in m.exps.items():
-        block = m.universe.block_of(name)
-        if block == "y":
-            idx = int(name[1:]) - 1
-            for _ in range(e):
-                out = out * images[idx]
-        else:
+        if name not in y_vars:
             out = out * ext.monomial({name: e})
     return out
 

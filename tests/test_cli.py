@@ -272,11 +272,15 @@ def test_resource_bounds_exit_3(capsys):
     assert "resource bound exceeded" in err
     assert run(capsys, "--max-gens", "1", "analyze", "path:2")[0] == 3
     assert run(capsys, "--gb-degree-cap", "1", "rees", "path:2")[0] == 3
-    # componentwise checks of spread-degree power ideals legitimately trip
-    # the default generator bound instead of degrading silently
-    code, _, err = run(capsys, "analyze", "star:3", "-k", "2", "--betti")
+    # Betti tables of truncations of large powers legitimately trip the
+    # default generator bound instead of degrading silently
+    code, _, err = run(capsys, "analyze", "path:7", "-k", "2", "--betti")
     assert code == 3
-    assert "exceed the Betti bound 18" in err
+    assert "22 generators exceed the Betti bound 18" in err
+    # the truncations of star:3 squared stay within it
+    code, out, _ = run(capsys, "analyze", "star:3", "-k", "2", "--betti")
+    assert code == 0
+    assert "componentwise-linear=yes" in out
 
 
 def test_internal_key_error_is_not_an_input_error(monkeypatch, capsys):

@@ -27,14 +27,20 @@ from coverrees import (
 from oracles import compare_monomials, random_monomial, random_universe
 
 
+def _block_names(u, block):
+    """The variables whose exponent-tuple position lies in the slice."""
+    positions = range(len(u.all_vars))[block]
+    return {v for v in u.all_vars if u.index_of(v) in positions}
+
+
 def test_universe_blocks():
     u = VariableUniverse(("x1", "x2"), ("y1",), "t")
     assert u.all_vars == ("x1", "x2", "y1", "t")
-    assert u.block_of("x2") == "s"
-    assert u.block_of("y1") == "y"
-    assert u.block_of("t") == "t"
+    assert _block_names(u, u.s_block) == {"x1", "x2"}
+    assert _block_names(u, u.y_block) == {"y1"}
+    assert _block_names(u, u.t_block) == {"t"}
     with pytest.raises(KeyError):
-        u.block_of("q")
+        u.index_of("q")
 
 
 def test_universe_validation():
@@ -98,9 +104,10 @@ def test_degree_caches_stay_consistent():
         u = random_universe(rng, with_t=rng.random() < 0.5)
         m = random_monomial(rng, u)
         assert m.total_degree == sum(m.exps.values())
-        assert m.s_degree == sum(e for v, e in m.exps.items() if u.block_of(v) == "s")
-        assert m.y_degree == sum(e for v, e in m.exps.items() if u.block_of(v) == "y")
-        assert m.t_degree == sum(e for v, e in m.exps.items() if u.block_of(v) == "t")
+        blocks = ((m.s_degree, u.s_block), (m.y_degree, u.y_block), (m.t_degree, u.t_block))
+        for degree, block in blocks:
+            names = _block_names(u, block)
+            assert degree == sum(e for v, e in m.exps.items() if v in names)
 
 
 def test_monomials_format_and_parse():

@@ -28,6 +28,7 @@ from coverrees import (
 )
 
 from oracles import (
+    componentwise_by_degree,
     exhaustive_linear_quotients,
     fraction_rank,
     herzog_takayama_betti,
@@ -327,7 +328,6 @@ def test_is_componentwise_linear():
     rep = is_componentwise_linear(p3)
     assert rep.componentwise_linear
     assert rep.by_degree == {1: True, 2: True}
-    assert rep.degree_range == (1, 2)
 
     c4 = cover_ideal(standard_family("cycle", 4))
     bad = is_componentwise_linear(c4)
@@ -335,11 +335,41 @@ def test_is_componentwise_linear():
     assert bad.by_degree == {2: False}
 
     zero = is_componentwise_linear(MonomialIdeal(U3, []))
-    assert zero.componentwise_linear and zero.degree_range is None
+    assert zero.componentwise_linear and zero.by_degree == {}
 
     principal = is_componentwise_linear(_ideal(U3, "x1*x2*x3"))
     assert principal.componentwise_linear
     assert principal.by_degree == {3: True}
+
+
+# cover-ideal powers on which the truncation criterion is checked against
+# the components themselves; six are not componentwise linear in some degree
+COMPONENTWISE_CASES = [
+    ("path:5", 3),
+    ("friendship:2", 2),
+    ("cycle:6", 1),
+    ("cone(path:3)", 3),
+    ("cycle:5", 3),
+    ("cycle:4", 2),
+    ("complete_bipartite:2,3", 2),
+    ("complete_bipartite:2,3", 3),
+    ("cycle:7", 1),
+    ("cone(cycle:4)", 2),
+    ("path:4", 3),
+]
+
+
+def test_truncation_criterion_matches_components():
+    negative = 0
+    for text, k in COMPONENTWISE_CASES:
+        ideal = power(cover_ideal(parse_construction(text)), k)
+        expected = componentwise_by_degree(ideal)
+        # the truncations have at most len(ideal.gens) generators
+        rep = is_componentwise_linear(ideal, max_generators=len(ideal.gens))
+        assert rep.by_degree == expected, (text, k)
+        assert rep.componentwise_linear == all(expected.values()), (text, k)
+        negative += not rep.componentwise_linear
+    assert negative == 6
 
 
 def test_componentwise_bounds_propagate():
