@@ -18,7 +18,7 @@ import time
 
 from .binomial_gb import DEGREE_CAP
 from .errors import ResourceLimitExceeded
-from .graphs import Graph, graph_to_json, parse_construction
+from .graphs import graph_to_json, parse_construction
 from .monomials import cover_ideal, power
 from .rees import (
     ReesPresentation,
@@ -36,10 +36,6 @@ from .resolutions import (
 )
 
 __all__ = ["main", "console_entry"]
-
-
-def _load_graph(source: str, notes: list | None = None) -> Graph:
-    return parse_construction(source, notes=notes)
 
 
 def _write_json(path: str, doc) -> None:
@@ -61,7 +57,7 @@ def _rees_report_doc(report: XConditionReport, presentation: ReesPresentation) -
 def cmd_covers(args) -> int:
     from .graphs import minimal_vertex_covers
 
-    g = _load_graph(args.graph)
+    g = parse_construction(args.graph)
     covers = minimal_vertex_covers(g)
     ordered = [[v for v in g.labels if v in c.members] for c in covers]
     for members in ordered:
@@ -72,7 +68,7 @@ def cmd_covers(args) -> int:
 
 
 def cmd_rees(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_construction(args.graph)
     presentation = rees_presentation(cover_ideal(g), degree_cap=args.gb_degree_cap)
     report = x_condition(presentation)
     if args.dump_basis:
@@ -100,7 +96,7 @@ def _max_gens(args) -> dict:
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     notes: list[str] = []
-    g = _load_graph(args.graph, notes)
+    g = parse_construction(args.graph, notes=notes)
     ideal = cover_ideal(g)
     presentation = rees_presentation(ideal, degree_cap=args.gb_degree_cap)
     report = x_condition(presentation)
@@ -227,7 +223,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_construction(args.graph)
     ideal = cover_ideal(g)
     if args.power > 1:
         ideal = power(ideal, args.power)

@@ -327,15 +327,6 @@ class VertexCover:
     def is_cover(self, g: Graph) -> bool:
         return all(a in self.members or b in self.members for a, b in g.edges)
 
-    def is_minimal(self, g: Graph) -> bool:
-        if not self.is_cover(g):
-            return False
-        for v in self.members:
-            rest = VertexCover(self.members - {v})
-            if rest.is_cover(g):
-                return False
-        return True
-
 
 def maximal_independent_sets(g: Graph) -> list[frozenset]:
     """All maximal independent sets, via Bron-Kerbosch with pivoting on

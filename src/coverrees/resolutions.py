@@ -5,14 +5,16 @@ multidegree in the lcm lattice of the generators, the reduced homology
 of the upper Koszul simplicial complex is taken over the rationals, with
 ranks obtained by fraction-free integer elimination; linearity is read
 off the regularity (Eisenbud-Goto, J. Algebra 88, 1984: M_{>=r} has an
-r-linear resolution exactly when reg M <= r).  Linear quotients are
-certified by explicit witnesses and searched for with two heuristic
-orders followed by a memoized backtracking search, which is exact.
+r-linear resolution exactly when reg M <= r).  Linear quotients
+(Herzog-Takayama, 2002) are checked by one colon rule on support
+bitmasks and searched for with two heuristic orders followed by a
+memoized backtracking search, which is exact; the order is the
+certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import GeneratorLimitExceeded, LatticeLimitExceeded
@@ -20,7 +22,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     canonical_key,
-    colon,
     component,  # unused; kept because bench/child.py traces resolutions.component
 )
 
@@ -44,31 +45,39 @@ __all__ = [
 
 @dataclass
 class LinearQuotientsCertificate:
-    """An ordering with witnesses that every colon ideal is variable-generated.
+    """An order of the generators with linear quotients: for each j the
+    colon ideal (u_1, ..., u_{j-1}) : u_j is generated by variables.
 
-    Positions are 1-based.  For each position j > 1 and each earlier i,
-    ``witnesses[j][i]`` names an l < j whose colon against the j-th
-    generator has degree one and divides the colon of the i-th; that is
-    exactly minimal generation of the colon ideal by variables.
+    The order is the certificate; ``check_linear_quotients`` re-checks it
+    with O(n^2) colons.  ``method`` names the rule that found it
+    ("ascending", "descending" or "search"), None from a direct check.
     """
 
     ordering: tuple[Monomial, ...]
-    witnesses: dict[int, dict[int, int]] = field(default_factory=dict)
     method: str | None = None
 
-    def validate(self) -> bool:
-        gens = self.ordering
-        for j in range(2, len(gens) + 1):
-            wmap = self.witnesses.get(j, {})
-            for i in range(1, j):
-                l = wmap.get(i)
-                if l is None or not 1 <= l < j:
-                    return False
-                cl = colon(gens[l - 1], gens[j - 1])
-                ci = colon(gens[i - 1], gens[j - 1])
-                if cl.total_degree != 1 or not cl.divides(ci):
-                    return False
-        return True
+
+def _colon_masks(g: tuple[int, ...], u: tuple[int, ...]) -> tuple[int, int]:
+    """Support of g : u as a bitmask, paired with the same mask when g : u
+    is one variable (degree sum of max(g_p - u_p, 0) equal to 1), else 0."""
+    support = degree = 0
+    bit = 1
+    for a, b in zip(g, u):
+        if a > b:
+            support |= bit
+            degree += a - b
+        bit <<= 1
+    return support, support if degree == 1 else 0
+
+
+def _variable_generated(colons: list[tuple[int, int]]) -> bool:
+    """The colon rule: monomial colons, given by ``_colon_masks`` pairs,
+    generate an ideal generated by variables exactly when every support
+    meets the union of the one-variable colons."""
+    variables = 0
+    for _, linear in colons:
+        variables |= linear
+    return all(support & variables for support, _ in colons)
 
 
 def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
@@ -76,19 +85,12 @@ def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
     gens = tuple(ordered_gens)
     if len(set(gens)) != len(gens):
         raise ValueError("generators must be pairwise distinct")
-    witnesses: dict[int, dict[int, int]] = {}
-    for j0 in range(1, len(gens)):
-        f = gens[j0]
-        colons = [colon(g, f) for g in gens[:j0]]
-        linear = [(l0, cl) for l0, cl in enumerate(colons) if cl.total_degree == 1]
-        wmap: dict[int, int] = {}
-        for i0, ci in enumerate(colons):
-            hit = next((l0 for l0, cl in linear if cl.divides(ci)), None)
-            if hit is None:
-                return j0 + 1
-            wmap[i0 + 1] = hit + 1
-        witnesses[j0 + 1] = wmap
-    return LinearQuotientsCertificate(ordering=gens, witnesses=witnesses)
+    if len({g.universe for g in gens}) > 1:
+        raise ValueError("generators live in different universes")
+    for j, u in enumerate(gens):
+        if not _variable_generated([_colon_masks(g.exponents, u.exponents) for g in gens[:j]]):
+            return j + 1
+    return LinearQuotientsCertificate(gens)
 
 
 def find_linear_quotients_order(
@@ -101,46 +103,38 @@ def find_linear_quotients_order(
     a backtracking search over prefixes.  Whether a next generator may be
     appended depends only on the set already placed, so failed prefix
     sets are memoized and the search is exact: None means no order at
-    all has linear quotients.
+    all has linear quotients.  ``max_generators`` bounds only that
+    search; the two cheap orders are always tried.
     """
     pool = sorted(set(gens), key=canonical_key)
-    if len(pool) > max_generators:
-        raise GeneratorLimitExceeded(
-            f"{len(pool)} generators exceed the search bound {max_generators}"
-        )
     for ordering, method in ((pool, "ascending"), (list(reversed(pool)), "descending")):
         result = check_linear_quotients(ordering)
         if isinstance(result, LinearQuotientsCertificate):
             return replace(result, method=method)
-
     n = len(pool)
-    colons = {(l, j): colon(pool[l], pool[j]) for l in range(n) for j in range(n) if l != j}
+    if n > max_generators:
+        raise GeneratorLimitExceeded(
+            f"{n} generators exceed the search bound {max_generators}"
+        )
+    # masks[j][l]: the colon pool[l] : pool[j]
+    masks = [[_colon_masks(g.exponents, u.exponents) for g in pool] for u in pool]
+    dead: set[int] = set()
 
-    def may_append(chosen: frozenset, cand: int) -> bool:
-        linear = [l for l in chosen if colons[l, cand].total_degree == 1]
-        for i in chosen:
-            ci = colons[i, cand]
-            if not any(colons[l, cand].divides(ci) for l in linear):
-                return False
-        return True
-
-    dead: set[frozenset] = set()
-
-    def dfs(prefix: list[int], chosen: frozenset) -> list[int] | None:
+    def dfs(prefix: list[int], placed: int) -> list[int] | None:
         if len(prefix) == n:
             return prefix
-        if chosen in dead:
+        if placed in dead:
             return None
         for cand in range(n):
-            if cand in chosen or not may_append(chosen, cand):
+            if placed >> cand & 1 or not _variable_generated([masks[cand][l] for l in prefix]):
                 continue
-            found = dfs(prefix + [cand], chosen | {cand})
+            found = dfs(prefix + [cand], placed | 1 << cand)
             if found is not None:
                 return found
-        dead.add(chosen)
+        dead.add(placed)
         return None
 
-    found = dfs([], frozenset())
+    found = dfs([], 0)
     if found is None:
         return None
     result = check_linear_quotients([pool[i] for i in found])

@@ -26,6 +26,15 @@ def brute_minimal_covers(graph):
     return {c for c in covers if not any(other < c for other in covers)}
 
 
+def is_minimal_cover(members, graph):
+    """Whether the label set covers every edge and no member can be dropped."""
+
+    def covers(chosen):
+        return all(a in chosen or b in chosen for a, b in graph.edges)
+
+    return covers(members) and not any(covers(members - {v}) for v in members)
+
+
 def brute_maximal_independent_sets(graph):
     """All maximal independent sets as a set of frozensets, by 2^V enumeration."""
     labels = graph.labels

@@ -11,7 +11,12 @@ import time
 from contextlib import contextmanager
 
 import conftest
-from oracles import compare_monomials, exhaustive_linear_quotients, random_monomial
+from oracles import (
+    compare_monomials,
+    exhaustive_linear_quotients,
+    order_admits_linear_quotients,
+    random_monomial,
+)
 
 from coverrees import (
     VariableUniverse,
@@ -89,6 +94,11 @@ def _presentation(name):
     return _PRESENTATIONS[name]
 
 
+def _admits(cert):
+    """The oracle's verdict on the order a certificate carries."""
+    return order_admits_linear_quotients([m.exps for m in cert.ordering])
+
+
 def test_criterion_1_edge_graph_end_to_end():
     with criterion(1, "edge graph: exact kernel, standard monomials of every power", 5.0):
         ideal = cover_ideal(_graph("path:2"))
@@ -106,7 +116,7 @@ def test_criterion_1_edge_graph_end_to_end():
             assert set(std.mapped_generators) == set(pk.gens)
             assert minimal_generation_check(p, k)
             cert = find_linear_quotients_order(pk.gens)
-            assert cert is not None and cert.validate()
+            assert cert is not None and _admits(cert)
         assert [str(m) for m in standard_monomials(p, 2).members] == [
             "y2^2",
             "y1*y2",
@@ -136,7 +146,7 @@ def test_criterion_2_path_graph_full_certification():
         }
         for mono_ideal in (ideal, power(ideal, 2)):
             cert = find_linear_quotients_order(mono_ideal.gens)
-            assert cert is not None and cert.method == "ascending" and cert.validate()
+            assert cert is not None and cert.method == "ascending" and _admits(cert)
         cw_rep = is_componentwise_linear(ideal)
         assert cw_rep.componentwise_linear
         assert cw_rep.by_degree == {1: True, 2: True}
@@ -230,7 +240,7 @@ def test_criterion_6_cameron_walker_consequences():
         for mono_ideal in (ideal, square):
             assert has_linear_resolution(mono_ideal)
             cert = find_linear_quotients_order(mono_ideal.gens)
-            assert cert is not None and cert.method == "ascending" and cert.validate()
+            assert cert is not None and cert.method == "ascending" and _admits(cert)
         table = betti_table(ideal)
         assert table.entries == {(0, 3): 5, (1, 4): 5, (2, 5): 1}
         assert table.max_index() < len(ideal.gens)
@@ -343,7 +353,7 @@ def test_criterion_8_engine_self_checks():
             if found is None:
                 misses += 1
             else:
-                assert found.validate()
+                assert _admits(found)
                 ordering = check_linear_quotients(found.ordering)
                 assert not isinstance(ordering, int)
                 hits += 1

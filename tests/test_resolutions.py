@@ -43,6 +43,11 @@ def _ideal(universe, *texts):
     return MonomialIdeal(universe, [parse_monomial(t, universe) for t in texts])
 
 
+def _admits(cert):
+    """The oracle's verdict on the order a certificate carries."""
+    return order_admits_linear_quotients([m.exps for m in cert.ordering])
+
+
 U3 = VariableUniverse(("x1", "x2", "x3"))
 U4 = VariableUniverse(("x1", "x2", "x3", "x4"))
 
@@ -52,11 +57,10 @@ def test_check_linear_quotients_certificate():
     square = [parse_monomial(t, u) for t in ("x2^2", "x1*x2", "x1^2")]
     cert = check_linear_quotients(square)
     assert isinstance(cert, LinearQuotientsCertificate)
-    assert cert.witnesses == {2: {1: 1}, 3: {1: 2, 2: 2}}
-    assert cert.validate()
+    assert cert.ordering == tuple(square) and cert.method is None
 
     # the oracle restatement agrees
-    assert order_admits_linear_quotients([dict(m.exps) for m in square])
+    assert _admits(cert)
 
 
 def test_check_linear_quotients_failure_position():
@@ -67,22 +71,43 @@ def test_check_linear_quotients_failure_position():
 
 
 def test_check_linear_quotients_edge_cases():
-    assert check_linear_quotients([]).validate()
+    assert check_linear_quotients([]).ordering == ()
     single = check_linear_quotients([parse_monomial("x1*x3", U3)])
-    assert single.validate() and single.witnesses == {}
+    assert [str(m) for m in single.ordering] == ["x1*x3"] and _admits(single)
     m = parse_monomial("x1", U3)
     with pytest.raises(ValueError):
         check_linear_quotients([m, m])
+    with pytest.raises(ValueError):
+        check_linear_quotients([m, parse_monomial("x1", U4)])
 
 
-def test_certificate_validation_rejects_tampering():
-    u = VariableUniverse(("x1", "x2"))
-    square = [parse_monomial(t, u) for t in ("x2^2", "x1*x2", "x1^2")]
-    cert = check_linear_quotients(square)
-    cert.witnesses[3][1] = 3  # out of range: witnesses must come earlier
-    assert not cert.validate()
-    cert.witnesses[3] = {}
-    assert not cert.validate()
+def test_check_linear_quotients_agrees_with_oracle():
+    rng = random.Random(3307)
+    accepted = rejected = unit_colons = 0
+    for _ in range(300):
+        gens = {random_monomial(rng, U4, max_degree=4) for _ in range(rng.randint(1, 6))}
+        if rng.random() < 0.3:
+            # a multiple of an existing generator, placed after it, makes
+            # that colon the unit ideal
+            g = rng.choice(sorted(gens, key=str))
+            gens.add(g * variable(U4, rng.choice(U4.all_vars)))
+        gens = sorted(gens, key=str)
+        rng.shuffle(gens)
+        exps = [m.exps for m in gens]
+        unit_colons += any(
+            gens[i].divides(gens[j]) for j in range(len(gens)) for i in range(j)
+        )
+        result = check_linear_quotients(gens)
+        expected = order_admits_linear_quotients(exps)
+        assert isinstance(result, LinearQuotientsCertificate) == expected, gens
+        if expected:
+            accepted += 1
+        else:
+            rejected += 1
+            # the reported position is the first prefix the oracle rejects
+            assert order_admits_linear_quotients(exps[: result - 1])
+            assert not order_admits_linear_quotients(exps[:result])
+    assert accepted > 0 and rejected > 0 and unit_colons > 0
 
 
 def test_find_order_uses_ascending_heuristic():
@@ -91,7 +116,7 @@ def test_find_order_uses_ascending_heuristic():
     cert = find_linear_quotients_order(gens)
     assert cert is not None and cert.method == "ascending"
     assert [str(m) for m in cert.ordering] == ["x2^2", "x1*x2", "x1^2"]
-    assert cert.validate()
+    assert _admits(cert)
 
 
 def test_find_order_falls_back_to_search():
@@ -101,19 +126,29 @@ def test_find_order_falls_back_to_search():
     cert = find_linear_quotients_order(gens)
     assert cert is not None and cert.method == "search"
     assert [str(m) for m in cert.ordering] == ["x1*x2", "x2^3", "x1^3"]
-    assert cert.validate()
+    assert _admits(cert)
 
 
 def test_find_order_detects_impossible_ideals():
     ideal = _ideal(U4, "x1*x3", "x2*x4")
     assert find_linear_quotients_order(ideal.gens) is None
     assert exhaustive_linear_quotients(list(ideal.gens)) is None
+    # all 22 generators of cycle:6 cubed go through the memoized search
+    cube = power(cover_ideal(parse_construction("cycle:6")), 3)
+    assert len(cube.gens) == 22
+    assert find_linear_quotients_order(cube.gens, max_generators=22) is None
 
 
 def test_find_order_respects_generator_bound():
-    gens = _ideal(U3, "x1", "x2", "x3").gens
+    # both cheap orders fail here, so the search runs and the bound applies
+    u = VariableUniverse(("x1", "x2"))
+    gens = _ideal(u, "x1^3", "x1*x2", "x2^3").gens
     with pytest.raises(GeneratorLimitExceeded):
         find_linear_quotients_order(gens, max_generators=2)
+    # the bound guards only the search: the ascending order is still tried
+    cert = find_linear_quotients_order(_ideal(U3, "x1", "x2", "x3").gens, max_generators=2)
+    assert cert is not None and cert.method == "ascending"
+    assert [str(m) for m in cert.ordering] == ["x3", "x2", "x1"]
 
 
 def test_find_order_agrees_with_exhaustive_search():
@@ -132,7 +167,7 @@ def test_find_order_agrees_with_exhaustive_search():
             misses += 1
         else:
             hits += 1
-            assert cert.validate()
+            assert _admits(cert)
     assert hits > 0 and misses > 0
 
 
