@@ -4,8 +4,12 @@ Everything here works on oriented pairs of monomials (lead minus trail,
 coefficients fixed at +1/-1), which is closed under S-pairs and
 reduction, so no field arithmetic ever happens.  The order is the one
 of ``monomials``, lex on the exponent tuple, so comparing two terms
-compares their ``exponents``; the hot loops (divisibility, rewriting)
-run on those raw tuples with a support-bitmask prefilter.  Toric kernels
+compares their ``exponents``; the hot loops (divisibility, rewriting,
+the pair update) run on those raw tuples with support bitmasks.  Every
+reduction looks its divisor up in a lead index: one int bitset per
+variable of the rules whose lead uses it, so the leads whose support fits
+inside a monomial's come from one mask intersection, and only those are
+compared exponent by exponent.  Toric kernels
 of monomial maps are computed by adjoining an elimination variable,
 which that order puts above every other variable, and keeping the
 elimination-free part of the reduced basis: the reduced basis of the
@@ -16,8 +20,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
-from operator import le, mul
+from functools import cache, cached_property, reduce
+from itertools import compress
+from operator import add, and_, le, mul, not_, or_
 from typing import Iterable, Sequence
 
 from .errors import DegreeCapExceeded
@@ -26,6 +31,7 @@ from .monomials import (
     MonomialIdeal,
     VariableUniverse,
     _monomial,
+    _same_universe,
     minimalize,
     variable,
 )
@@ -88,36 +94,89 @@ class GroebnerBasis:
         """One ``lead - trail`` line per element, in the canonical order."""
         return "\n".join(str(b) for b in self.elements)
 
+    @cached_property
+    def initial_ideal(self) -> MonomialIdeal:
+        """The ideal of lead monomials, computed once per basis."""
+        return minimalize([e.lead for e in self.elements], self.universe)
+
+
+@cache
+def _bits(width: int) -> tuple[int, ...]:
+    """``1 << k`` for each of ``width`` positions."""
+    return tuple(1 << k for k in range(width))
+
 
 def _support(exponents: tuple[int, ...]) -> int:
     """Bitmask of the positions where an exponent tuple is nonzero."""
-    mask = 0
-    for k, e in enumerate(exponents):
-        if e:
-            mask |= 1 << k
-    return mask
+    return sum(compress(_bits(len(exponents)), exponents))
 
 
-def _divides(
-    small: tuple[int, ...], small_mask: int, large: tuple[int, ...], large_mask: int
-) -> bool:
-    """Whether ``small`` divides ``large``, given their support masks."""
-    return not small_mask & ~large_mask and all(map(le, small, large))
+def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
-def _rewrite_once(m: tuple[int, ...], rules: Sequence[_Rule]) -> tuple[int, ...] | None:
+class _LeadIndex:
+    """Rewrite rules indexed by the support of their leads.
+
+    Bit g of an int bitset stands for ``rules[g]``.  ``has[v]`` holds the
+    rules whose lead uses variable v, and ``alive`` the rules still in
+    use.  The live rules whose lead support fits inside supp(m) are then
+    ``alive & ~OR{has[v] : m_v = 0}``; they are tried from the lowest bit
+    up, so a lookup finds the first live divisor in insertion order.
+    """
+
+    __slots__ = ("rules", "has", "alive")
+
+    def __init__(self, width: int, rules: Iterable[_Rule] = ()):
+        self.rules: list[_Rule] = []
+        self.has = [0] * width
+        self.alive = 0
+        for rule in rules:
+            self.add(rule)
+
+    def add(self, rule: _Rule) -> None:
+        bit = 1 << len(self.rules)
+        self.rules.append(rule)
+        has = self.has
+        for v in compress(range(len(has)), rule[0]):
+            has[v] |= bit
+        self.alive |= bit
+
+    def first_divisor(self, m: tuple[int, ...]) -> _Rule | None:
+        """The first live rule whose lead divides m; None when none does."""
+        rules = self.rules
+        candidates = self.alive & ~reduce(or_, compress(self.has, map(not_, m)), 0)
+        while candidates:
+            low = candidates & -candidates
+            rule = rules[low.bit_length() - 1]
+            if all(map(le, rule[0], m)):
+                return rule
+            candidates ^= low
+        return None
+
+    def retire(self, m: tuple[int, ...]) -> None:
+        """Mark dead every live rule whose lead m divides."""
+        rules = self.rules
+        candidates = reduce(and_, compress(self.has, m), self.alive)
+        while candidates:
+            low = candidates & -candidates
+            if all(map(le, m, rules[low.bit_length() - 1][0])):
+                self.alive ^= low
+            candidates ^= low
+
+
+def _rewrite_once(m: tuple[int, ...], index: _LeadIndex) -> tuple[int, ...] | None:
     """m rewritten by the first rule whose lead divides it; None when none does."""
-    mask = _support(m)
-    for lead, lead_mask, trail in rules:
-        # _divides inlined: this is the innermost loop of every reduction
-        if not lead_mask & ~mask and all(map(le, lead, m)):
-            return tuple([e - a + b for e, a, b in zip(m, lead, trail)])
-    return None
+    rule = index.first_divisor(m)
+    if rule is None:
+        return None
+    lead, _, trail = rule
+    return tuple([e - a + b for e, a, b in zip(m, lead, trail)])
 
 
-def _normal_form(m: tuple[int, ...], rules: Sequence[_Rule]) -> tuple[int, ...]:
+def _normal_form(m: tuple[int, ...], index: _LeadIndex) -> tuple[int, ...]:
     while True:
-        r = _rewrite_once(m, rules)
+        r = _rewrite_once(m, index)
         if r is None:
             return m
         m = r
@@ -127,19 +186,26 @@ def _term(universe: VariableUniverse, exponents: tuple[int, ...]) -> Monomial:
     return _monomial(universe, exponents, sum(exponents))
 
 
-def reduce_binomial(b: Binomial, elements: Sequence[Binomial]) -> Binomial | None:
+def reduce_binomial(
+    b: Binomial, elements: Sequence[Binomial] | _LeadIndex
+) -> Binomial | None:
     """Full normal form of a binomial; None when it reduces to zero.
 
-    Both terms are rewritten until neither is divisible by any lead.
-    Each rewrite strictly decreases the rewritten term, so the loop
-    terminates; when the terms collide the binomial cancels.
+    ``elements`` is a sequence of binomials, wrapped here in a lead index,
+    or an index a caller keeps across reductions.  Both terms are
+    rewritten until neither is divisible by any lead.  Each rewrite
+    strictly decreases the rewritten term, so the loop terminates; when
+    the terms collide the binomial cancels.
     """
-    rules = [e._rule for e in elements]
     p, q = b.lead.exponents, b.trail.exponents
+    if isinstance(elements, _LeadIndex):
+        index = elements
+    else:
+        index = _LeadIndex(len(p), (e._rule for e in elements))
     while True:
-        r = _rewrite_once(p, rules)
+        r = _rewrite_once(p, index)
         if r is None:
-            r = _rewrite_once(q, rules)
+            r = _rewrite_once(q, index)
             if r is None:
                 break
             q = r
@@ -155,22 +221,31 @@ def reduce_binomial(b: Binomial, elements: Sequence[Binomial]) -> Binomial | Non
 
 def s_pair(f: Binomial, g: Binomial) -> Binomial | None:
     """The S-binomial of f and g; None when the terms already agree."""
-    l = f.lead.lcm(g.lead)
-    a = (l / f.lead) * f.trail
-    b = (l / g.lead) * g.trail
-    return oriented_binomial(a, b)
+    _same_universe(f.lead, g.lead)
+    f_lead, _, f_trail = f._rule
+    g_lead, _, g_trail = g._rule
+    lcm = _lcm(f_lead, g_lead)
+    a = tuple([l - x + t for l, x, t in zip(lcm, f_lead, f_trail)])
+    b = tuple([l - x + t for l, x, t in zip(lcm, g_lead, g_trail)])
+    if a == b:
+        return None
+    if a < b:
+        a, b = b, a
+    universe = f.lead.universe
+    return Binomial(_term(universe, a), _term(universe, b))
 
 
 def _interreduce(elements: list[Binomial]) -> list[Binomial]:
-    """The reduced basis of a Groebner basis, ascending by lead."""
-    ordered = sorted(elements, key=lambda e: (e.lead.exponents, e.trail.exponents))
+    """The reduced basis of a nonempty Groebner basis, ascending by lead."""
+    universe = elements[0].lead.universe
+    index = _LeadIndex(len(universe.all_vars))
     kept: list[Binomial] = []
-    for e in ordered:
-        if not any(k.lead.divides(e.lead) for k in kept):
+    for e in sorted(elements, key=lambda e: (e.lead.exponents, e.trail.exponents)):
+        if index.first_divisor(e.lead.exponents) is None:
             kept.append(e)
-    rules = [k._rule for k in kept]
+            index.add(e._rule)
     return [
-        Binomial(e.lead, _term(e.lead.universe, _normal_form(e.trail.exponents, rules)))
+        Binomial(e.lead, _term(universe, _normal_form(e.trail.exponents, index)))
         for e in kept
     ]
 
@@ -206,8 +281,15 @@ def buchberger(
     (criterion M), one pair per lcm is kept (criterion F), and an lcm
     reached by a pair with coprime leads keeps no pair.  New pairs are
     formed, and reductions run, only with elements whose lead no later
-    lead divides.  An element of total degree above ``degree_cap``
-    aborts the run with ``DegreeCapExceeded``.
+    lead divides.  The new lcms are keyed by their quotient lcm / lead h,
+    whose support is sparse, so the mask test settles most divisibility
+    checks of criterion M.  An element of total degree above
+    ``degree_cap`` aborts the run with ``DegreeCapExceeded``.
+
+    The live elements form one lead index that every reduction reads: an
+    inserted element adds its bit and retires the elements whose lead its
+    own divides.  The index yields the live divisor of lowest basis index,
+    the rule a scan over the live elements in order would pick first.
     """
     inputs: list[Binomial] = []
     universe: VariableUniverse | None = None
@@ -229,10 +311,12 @@ def buchberger(
     def degree(m: tuple[int, ...]) -> int:
         return sum(map(mul, weights, m))
 
+    bits = _bits(len(weights))
     basis: list[Binomial] = []
     sugar: list[int] = []
+    # basis[g] for g in live (ascending) is what index.alive holds
     live: list[int] = []
-    reducers: list[Binomial] = []
+    index = _LeadIndex(len(weights))
     # heap entries: (sugar, lcm, i, j, support mask of the lcm), i < j
     pairs: list[tuple[int, tuple[int, ...], int, int, int]] = []
 
@@ -243,47 +327,48 @@ def buchberger(
         survivors = [
             e
             for e in pairs
-            if not _divides(lead, mask, e[1], e[4])
-            or tuple(map(max, basis[e[2]].lead.exponents, lead)) == e[1]
-            or tuple(map(max, basis[e[3]].lead.exponents, lead)) == e[1]
+            if mask & ~e[4]
+            or not all(map(le, lead, e[1]))
+            or _lcm(basis[e[2]]._rule[0], lead) == e[1]
+            or _lcm(basis[e[3]]._rule[0], lead) == e[1]
         ]
         if len(survivors) < len(pairs):
             pairs[:] = survivors
             heapq.heapify(pairs)
         # criteria M and F on the new pairs: one pair per minimal lcm, none
-        # where a pair with coprime leads reaches that lcm
-        # lcm -> [first g reaching it, support mask of the lcm, coprime pair seen]
-        by_lcm: dict[tuple[int, ...], list] = {}
+        # where a pair with coprime leads reaches that lcm.  lcm(g, h) is
+        # keyed by the quotient lcm / lead h, whose support is sparse;
+        # quotient -> [first g reaching it, support mask, coprime pair seen]
+        by_quotient: dict[tuple[int, ...], list] = {}
         for g in live:
             lead_g, mask_g, _ = basis[g]._rule
-            lcm = tuple(map(max, lead_g, lead))
-            entry = by_lcm.get(lcm)
+            q = tuple([a - b if a > b else 0 for a, b in zip(lead_g, lead)])
+            entry = by_quotient.get(q)
             if entry is None:
-                by_lcm[lcm] = [g, mask_g | mask, not mask_g & mask]
+                by_quotient[q] = [g, sum(compress(bits, q)), not mask_g & mask]
             elif not mask_g & mask:
                 entry[2] = True
         minimal: list[tuple[tuple[int, ...], int]] = []
-        for lcm in sorted(by_lcm, key=sum):
-            g, lcm_mask, coprime = by_lcm[lcm]
-            if any(_divides(m, m_mask, lcm, lcm_mask) for m, m_mask in minimal):
-                continue
-            minimal.append((lcm, lcm_mask))
-            if not coprime:
-                w = degree(lcm)
-                s = max(
-                    sugar[g] + w - degree(basis[g].lead.exponents),
-                    sug + w - degree(lead),
-                )
-                heapq.heappush(pairs, (s, lcm, g, new, lcm_mask))
+        for q in sorted(by_quotient, key=sum):
+            g, q_mask, coprime = by_quotient[q]
+            for m, m_mask in minimal:
+                if not m_mask & ~q_mask and all(map(le, m, q)):
+                    break
+            else:
+                minimal.append((q, q_mask))
+                if not coprime:
+                    lcm = tuple(map(add, q, lead))
+                    w = degree(lcm)
+                    s = max(
+                        sugar[g] + w - degree(basis[g].lead.exponents),
+                        sug + w - degree(lead),
+                    )
+                    heapq.heappush(pairs, (s, lcm, g, new, q_mask | mask))
         basis.append(h)
         sugar.append(sug)
-        still_live = []
-        for g in live:
-            lead_g, mask_g, _ = basis[g]._rule
-            if not _divides(lead, mask, lead_g, mask_g):
-                still_live.append(g)
-        live[:] = still_live + [new]
-        reducers[:] = [basis[g] for g in live]
+        index.retire(lead)
+        index.add(h._rule)
+        live[:] = [g for g in live if index.alive >> g & 1] + [new]
 
     for b in inputs:
         insert(b, max(degree(b.lead.exponents), degree(b.trail.exponents)))
@@ -292,7 +377,7 @@ def buchberger(
         s = s_pair(basis[i], basis[j])
         if s is None:
             continue
-        nf = reduce_binomial(s, reducers)
+        nf = reduce_binomial(s, index)
         if nf is None:
             continue
         if max(nf.lead.total_degree, nf.trail.total_degree) > degree_cap:
@@ -301,7 +386,7 @@ def buchberger(
             )
         insert(nf, max(sug, degree(nf.lead.exponents), degree(nf.trail.exponents)))
 
-    return GroebnerBasis(universe, tuple(_interreduce(reducers)))
+    return GroebnerBasis(universe, tuple(_interreduce([basis[g] for g in live])))
 
 
 def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) -> GroebnerBasis:
@@ -352,17 +437,18 @@ def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) ->
 
 def initial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
     """The ideal of lead monomials of a Groebner basis."""
-    return minimalize([e.lead for e in basis.elements], basis.universe)
+    return basis.initial_ideal
 
 
 def is_groebner_basis(basis: GroebnerBasis) -> bool:
     """Buchberger's criterion: every S-pair reduces to zero."""
     elems = basis.elements
+    index = _LeadIndex(len(basis.universe.all_vars), (e._rule for e in elems))
     for j in range(len(elems)):
         for i in range(j):
             s = s_pair(elems[i], elems[j])
             if s is None:
                 continue
-            if reduce_binomial(s, elems) is not None:
+            if reduce_binomial(s, index) is not None:
                 return False
     return True

@@ -324,9 +324,6 @@ class VertexCover:
 
     members: frozenset
 
-    def is_cover(self, g: Graph) -> bool:
-        return all(a in self.members or b in self.members for a, b in g.edges)
-
 
 def maximal_independent_sets(g: Graph) -> list[frozenset]:
     """All maximal independent sets, via Bron-Kerbosch with pivoting on

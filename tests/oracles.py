@@ -26,13 +26,16 @@ def brute_minimal_covers(graph):
     return {c for c in covers if not any(other < c for other in covers)}
 
 
+def is_cover(members, graph):
+    """Whether the label set meets every edge."""
+    return all(a in members or b in members for a, b in graph.edges)
+
+
 def is_minimal_cover(members, graph):
     """Whether the label set covers every edge and no member can be dropped."""
-
-    def covers(chosen):
-        return all(a in chosen or b in chosen for a, b in graph.edges)
-
-    return covers(members) and not any(covers(members - {v}) for v in members)
+    return is_cover(members, graph) and not any(
+        is_cover(members - {v}, graph) for v in members
+    )
 
 
 def brute_maximal_independent_sets(graph):

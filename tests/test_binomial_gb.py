@@ -135,6 +135,7 @@ def test_kernel_of_triangle():
     assert is_groebner_basis(basis)
     lead_strings = {str(g) for g in initial_ideal(basis).gens}
     assert lead_strings == {"x2*y2", "x3*y1"}
+    assert initial_ideal(basis) is initial_ideal(basis)
 
 
 def test_kernel_of_principal_ideal_is_empty():
@@ -362,12 +363,60 @@ def test_random_binomial_systems_satisfy_criterion():
             assert reduce_binomial(b, basis.elements) is None
 
 
+def test_lead_index_finds_the_first_live_divisor():
+    # the bitset lookup must pick exactly the rule a scan over the live
+    # rules in insertion order picks first, past 64 variables too
+    from operator import le
+
+    rng = random.Random(909)
+
+    def sparse(width, support, top):
+        e = [0] * width
+        for v in rng.sample(range(width), support):
+            e[v] = rng.randint(1, top)
+        return tuple(e)
+
+    found = missed = 0
+    for _ in range(40):
+        width = rng.randint(65, 130)
+        rules = []
+        for _ in range(rng.randint(1, 60)):
+            lead = sparse(width, rng.randint(1, 4), 2)
+            rules.append((lead, binomial_gb._support(lead), sparse(width, 2, 3)))
+        index = binomial_gb._LeadIndex(width, rules)
+        alive = set(range(len(rules)))
+        for g in rng.sample(range(len(rules)), rng.randint(0, len(rules) // 2)):
+            index.alive &= ~(1 << g)
+            alive.discard(g)
+        if rng.random() < 0.5:
+            m = rules[rng.randrange(len(rules))][0]
+            index.retire(m)
+            alive -= {g for g in alive if all(map(le, m, rules[g][0]))}
+        assert index.alive == sum(1 << g for g in alive)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                base = rules[rng.randrange(len(rules))][0]
+                m = tuple(a + b for a, b in zip(base, sparse(width, 3, 2)))
+            else:
+                m = sparse(width, rng.randint(0, 6), 3)
+            want = next(
+                (rules[g] for g in sorted(alive) if all(map(le, rules[g][0], m))), None
+            )
+            assert index.first_divisor(m) is want
+            if want is None:
+                missed += 1
+            else:
+                found += 1
+    assert found > 100 and missed > 100
+
+
 # (S-pairs, reductions, zero reductions) of toric_kernel on cover images;
 # any drift in the pair selection order or the criteria moves them.
 PAIR_SEQUENCE_COUNTS = {
     "path:7": (71, 71, 56),
     "attach(edge;edge,edge)": (191, 191, 160),
     "cone(cycle:5)": (147, 147, 119),
+    "attach(path:3;edge,edge,edge)": (6068, 6068, 5718),
 }
 
 
