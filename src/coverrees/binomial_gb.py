@@ -4,13 +4,14 @@ Everything here works on oriented pairs of monomials (lead minus trail,
 coefficients fixed at +1/-1), which is closed under S-pairs and
 reduction, so no field arithmetic ever happens.  The order is the one
 of ``monomials``, lex on the exponent tuple, so comparing two terms
-compares their ``exponents``; the hot loops (divisibility, rewriting,
-the pair update) run on those raw tuples with support bitmasks.  Every
-reduction looks its divisor up in a lead index: one int bitset per
-variable of the rules whose lead uses it, so the leads whose support fits
-inside a monomial's come from one mask intersection, and only those are
-compared exponent by exponent.  Toric kernels
-of monomial maps are computed by adjoining an elimination variable,
+compares their ``exponents``; rewriting and S-pairs run on those raw
+tuples.  Every reduction looks its divisor up in a lead index: one int
+bitset per variable of the rules whose lead uses it, so the leads whose
+support fits inside a monomial's come from one mask intersection, and
+only those are compared exponent by exponent.  The pair update runs on
+leads packed into one int each, a fixed-width field per variable, so a
+divisibility test, a quotient or an lcm is a few word operations.  Toric
+kernels of monomial maps are computed by adjoining an elimination variable,
 which that order puts above every other variable, and keeping the
 elimination-free part of the reduced basis: the reduced basis of the
 kernel under the same order.
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import compress
-from operator import add, and_, le, mul, not_, or_
+from operator import and_, le, lshift, mul, not_, or_
 from typing import Iterable, Sequence
 
 from .errors import DegreeCapExceeded
@@ -50,8 +51,8 @@ __all__ = [
 ]
 
 
-# (lead exponents, support mask of the lead, trail exponents)
-_Rule = tuple[tuple[int, ...], int, tuple[int, ...]]
+# (lead exponents, trail exponents)
+_Rule = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,8 @@ class Binomial:
 
     @cached_property
     def _rule(self) -> _Rule:
-        """The rewrite lead -> trail on raw exponent tuples:
-        ``(lead exponents, support mask of the lead, trail exponents)``."""
-        lead = self.lead.exponents
-        return lead, _support(lead), self.trail.exponents
+        """The rewrite lead -> trail on raw exponent tuples."""
+        return self.lead.exponents, self.trail.exponents
 
 
 def oriented_binomial(u: Monomial, v: Monomial) -> Binomial | None:
@@ -98,21 +97,6 @@ class GroebnerBasis:
     def initial_ideal(self) -> MonomialIdeal:
         """The ideal of lead monomials, computed once per basis."""
         return minimalize([e.lead for e in self.elements], self.universe)
-
-
-@cache
-def _bits(width: int) -> tuple[int, ...]:
-    """``1 << k`` for each of ``width`` positions."""
-    return tuple(1 << k for k in range(width))
-
-
-def _support(exponents: tuple[int, ...]) -> int:
-    """Bitmask of the positions where an exponent tuple is nonzero."""
-    return sum(compress(_bits(len(exponents)), exponents))
-
-
-def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 class _LeadIndex:
@@ -170,7 +154,7 @@ def _rewrite_once(m: tuple[int, ...], index: _LeadIndex) -> tuple[int, ...] | No
     rule = index.first_divisor(m)
     if rule is None:
         return None
-    lead, _, trail = rule
+    lead, trail = rule
     return tuple([e - a + b for e, a, b in zip(m, lead, trail)])
 
 
@@ -222,11 +206,11 @@ def reduce_binomial(
 def s_pair(f: Binomial, g: Binomial) -> Binomial | None:
     """The S-binomial of f and g; None when the terms already agree."""
     _same_universe(f.lead, g.lead)
-    f_lead, _, f_trail = f._rule
-    g_lead, _, g_trail = g._rule
-    lcm = _lcm(f_lead, g_lead)
-    a = tuple([l - x + t for l, x, t in zip(lcm, f_lead, f_trail)])
-    b = tuple([l - x + t for l, x, t in zip(lcm, g_lead, g_trail)])
+    f_lead, f_trail = f._rule
+    g_lead, g_trail = g._rule
+    # lcm - lead f + trail f = (lead g - lead f)+ + trail f, and symmetrically
+    a = tuple([(y - x if y > x else 0) + t for x, y, t in zip(f_lead, g_lead, f_trail)])
+    b = tuple([(x - y if x > y else 0) + t for x, y, t in zip(f_lead, g_lead, g_trail)])
     if a == b:
         return None
     if a < b:
@@ -269,27 +253,43 @@ def buchberger(
     terms; the S-pair of f and g with lead lcm l has sugar
     max(sug f + w(l) - w(lead f), sug g + w(l) - w(lead g)); a new element
     keeps its pair's sugar, raised to its own weighted degree if that is
-    larger.  Pairs wait in a heap keyed ``(sugar, lcm exponents, i, j)``.
+    larger.  Pairs wait in a heap keyed ``(sugar, lcm, i, j)``, the lcm
+    packed into one int that orders like its exponent tuple (see below).
     On input homogeneous in the grading the sugar is the weighted degree
     of the lcm; on any other input it is still a valid selection order.
 
     Each inserted element h runs the Gebauer-Moeller update ("On an
-    installation of Buchberger's algorithm", 1988): a waiting pair (i, j)
-    is dropped when lead h divides its lcm and differs from both
-    lcm(i, h) and lcm(j, h) (criterion B); of the new pairs (g, h), those
-    whose lcm a different new lcm properly divides are dropped
-    (criterion M), one pair per lcm is kept (criterion F), and an lcm
-    reached by a pair with coprime leads keeps no pair.  New pairs are
-    formed, and reductions run, only with elements whose lead no later
-    lead divides.  The new lcms are keyed by their quotient lcm / lead h,
-    whose support is sparse, so the mask test settles most divisibility
-    checks of criterion M.  An element of total degree above
-    ``degree_cap`` aborts the run with ``DegreeCapExceeded``.
+    installation of Buchberger's algorithm", 1988) on its new pairs
+    (g, h): those whose lcm a different new lcm properly divides are
+    dropped (criterion M), one pair per lcm is kept (criterion F), and an
+    lcm reached by a pair with coprime leads keeps no pair.  New pairs
+    are formed, and reductions run, only with elements whose lead no
+    later lead divides.  Criterion B is checked when a pair (i, j) is
+    popped: it is dropped when the lead of some element h > j, live or
+    not, divides its lcm and differs from both lcm(i, h) and lcm(j, h).
+    That condition depends only on the three leads, and the elements
+    above j are exactly those inserted while the pair waited, so this
+    drops the pairs an update of the waiting pairs on each insertion
+    would.  An element of total degree above ``degree_cap`` aborts the
+    run with ``DegreeCapExceeded``.
+
+    The pair update runs on packed exponent words: with top the larger of
+    ``degree_cap`` and the total degree of every input term, each
+    variable gets a field of top.bit_length() + 1 bits, the first
+    variable in the most significant one, so int order is the lex order
+    of the tuples.  The cap check before every insertion keeps each field
+    of a lead, of an lcm of two leads and of a quotient at most top, so
+    the top (guard) bit of every field stays clear and field arithmetic
+    never borrows or carries across fields.  The new lcms are keyed by
+    their quotient lcm / lead h, whose total degree, the remainder modulo
+    2^width - 1, orders criterion M.
 
     The live elements form one lead index that every reduction reads: an
     inserted element adds its bit and retires the elements whose lead its
     own divides.  The index yields the live divisor of lowest basis index,
     the rule a scan over the live elements in order would pick first.
+    Retired elements keep their bits in ``has``, which also yields the
+    candidates h of criterion B.
     """
     inputs: list[Binomial] = []
     universe: VariableUniverse | None = None
@@ -303,77 +303,116 @@ def buchberger(
             inputs.append(reoriented)
     if universe is None:
         raise ValueError("buchberger needs at least one generator to fix the universe")
+    n = len(universe.all_vars)
     if weights is None:
-        weights = (1,) * len(universe.all_vars)
-    elif len(weights) != len(universe.all_vars) or min(weights) < 1:
+        weights = (1,) * n
+    elif len(weights) != n or min(weights) < 1:
         raise ValueError("weights must give one positive integer per variable")
 
     def degree(m: tuple[int, ...]) -> int:
         return sum(map(mul, weights, m))
 
-    bits = _bits(len(weights))
+    top = max([degree_cap] + [m.total_degree for b in inputs for m in (b.lead, b.trail)])
+    width = top.bit_length() + 1
+    shifts = tuple(width * (n - 1 - v) for v in range(n))
+    sh = width - 1  # the guard bit of a field
+    G = sum(1 << sh << s for s in shifts)
+    # a quotient's fields sum to at most top < field_mod, so its degree is
+    # its remainder modulo field_mod
+    field_mod = (1 << width) - 1
+
     basis: list[Binomial] = []
     sugar: list[int] = []
+    words: list[int] = []  # packed lead of basis[g]
+    wdeg: list[int] = []  # weighted degree of the lead of basis[g]
     # basis[g] for g in live (ascending) is what index.alive holds
     live: list[int] = []
-    index = _LeadIndex(len(weights))
-    # heap entries: (sugar, lcm, i, j, support mask of the lcm), i < j
-    pairs: list[tuple[int, tuple[int, ...], int, int, int]] = []
+    index = _LeadIndex(n)
+    # heap entries: (sugar, packed lcm, i, j), i < j
+    pairs: list[tuple[int, int, int, int]] = []
 
     def insert(h: Binomial, sug: int) -> None:
         new = len(basis)
-        lead, mask, _ = h._rule
-        # criterion B on the waiting pairs
-        survivors = [
-            e
-            for e in pairs
-            if mask & ~e[4]
-            or not all(map(le, lead, e[1]))
-            or _lcm(basis[e[2]]._rule[0], lead) == e[1]
-            or _lcm(basis[e[3]]._rule[0], lead) == e[1]
-        ]
-        if len(survivors) < len(pairs):
-            pairs[:] = survivors
-            heapq.heapify(pairs)
+        lead = h.lead.exponents
+        word = sum(map(lshift, lead, shifts))
+        w_h = degree(lead)
+        support = list(compress(range(n), lead))
         # criteria M and F on the new pairs: one pair per minimal lcm, none
         # where a pair with coprime leads reaches that lcm.  lcm(g, h) is
-        # keyed by the quotient lcm / lead h, whose support is sparse;
-        # quotient -> [first g reaching it, support mask, coprime pair seen]
-        by_quotient: dict[tuple[int, ...], list] = {}
-        for g in live:
-            lead_g, mask_g, _ = basis[g]._rule
-            q = tuple([a - b if a > b else 0 for a, b in zip(lead_g, lead)])
-            entry = by_quotient.get(q)
-            if entry is None:
-                by_quotient[q] = [g, sum(compress(bits, q)), not mask_g & mask]
-            elif not mask_g & mask:
-                entry[2] = True
-        minimal: list[tuple[tuple[int, ...], int]] = []
-        for q in sorted(by_quotient, key=sum):
-            g, q_mask, coprime = by_quotient[q]
-            for m, m_mask in minimal:
-                if not m_mask & ~q_mask and all(map(le, m, q)):
+        # keyed by its quotient by lead h, (lead g - lead h)+: a field keeps
+        # its guard bit through the subtraction exactly where lead g >= lead h,
+        # and the kept guard bits mask the fields of the difference to keep
+        diffs = [(words[g] | G) - word for g in live]
+        quotients = [d & ((d & G) - ((d & G) >> sh)) for d in diffs]
+        # the first live g reaching each quotient; coprime leads leave all
+        # of lead g as the quotient
+        first = dict(zip(reversed(quotients), reversed(live)))
+        coprime = {q for q, g in zip(quotients, live) if q == words[g]}
+        # minimal quotients by degree: those of degree 1, single variables,
+        # as the union of their whole fields; the others as a list
+        units = 0
+        minimal: list[int] = []
+        for q in sorted(first, key=lambda q: q % field_mod):
+            if q & units:
+                continue
+            qg = q | G
+            for m in minimal:
+                # m divides q: no field of q - m borrows its guard bit
+                if (qg - m) & G == G:
                     break
             else:
-                minimal.append((q, q_mask))
-                if not coprime:
-                    lcm = tuple(map(add, q, lead))
-                    w = degree(lcm)
-                    s = max(
-                        sugar[g] + w - degree(basis[g].lead.exponents),
-                        sug + w - degree(lead),
-                    )
-                    heapq.heappush(pairs, (s, lcm, g, new, q_mask | mask))
+                if q % field_mod == 1:
+                    units |= q * field_mod
+                else:
+                    minimal.append(q)
+                if q not in coprime:
+                    g = first[q]
+                    lead_g = basis[g].lead.exponents
+                    # w(lcm) = w(lead h) + w(q), w(q) = w(lead g) - w(min),
+                    # and min(lead g, lead h) lives on supp(lead h)
+                    w_min = sum([weights[v] * min(lead_g[v], lead[v]) for v in support])
+                    s = max(sugar[g] + w_h, sug + wdeg[g]) - w_min
+                    heapq.heappush(pairs, (s, word + q, g, new))
         basis.append(h)
         sugar.append(sug)
+        words.append(word)
+        wdeg.append(w_h)
         index.retire(lead)
         index.add(h._rule)
         live[:] = [g for g in live if index.alive >> g & 1] + [new]
 
+    def criterion_b(lcm: int, i: int, j: int) -> bool:
+        """Some lead h, h > j, divides lcm and differs from lcm(i, h), lcm(j, h)."""
+        wi, wj = words[i], words[j]
+        # the leads whose support fits inside supp(lcm), above bit j
+        lcm_support = map(or_, basis[i].lead.exponents, basis[j].lead.exponents)
+        outside = reduce(or_, compress(index.has, map(not_, lcm_support)), 0)
+        candidates = ((1 << len(basis)) - (2 << j)) & ~outside
+        lg = lcm | G
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            wh = words[low.bit_length() - 1]
+            # lead h divides lcm
+            if (lg - wh) & G != G:
+                continue
+            # lcm(i, h) = wh + (wi - wh)+, and likewise for j
+            d = (wi | G) - wh
+            k = d & G
+            if wh + (d & (k - (k >> sh))) == lcm:
+                continue
+            d = (wj | G) - wh
+            k = d & G
+            if wh + (d & (k - (k >> sh))) != lcm:
+                return True
+        return False
+
     for b in inputs:
         insert(b, max(degree(b.lead.exponents), degree(b.trail.exponents)))
     while pairs:
-        sug, _, i, j, _ = heapq.heappop(pairs)
+        sug, lcm, i, j = heapq.heappop(pairs)
+        if criterion_b(lcm, i, j):
+            continue
         s = s_pair(basis[i], basis[j])
         if s is None:
             continue

@@ -6,7 +6,9 @@ basis and x-condition verdicts), ``analyze`` (full pipeline over powers),
 (Betti table of a cover-ideal power).
 
 Exit codes: 0 all good, 1 a theorem-predicted property failed to verify,
-2 bad input, 3 a resource bound was exceeded.
+2 bad input (a graph that cannot be read, a report that cannot be
+written), 3 a resource bound was exceeded.  Any other exception is a bug
+and propagates.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 
 from .binomial_gb import DEGREE_CAP
 from .errors import ResourceLimitExceeded
-from .graphs import graph_to_json, parse_construction
+from .graphs import Graph, graph_to_json, parse_construction
 from .monomials import cover_ideal, power
 from .rees import (
     ReesPresentation,
@@ -38,10 +40,27 @@ from .resolutions import (
 __all__ = ["main", "console_entry"]
 
 
+class _InputError(Exception):
+    """A graph that cannot be read or a report that cannot be written."""
+
+
+def _read_graph(source: str, notes: list | None = None) -> Graph:
+    try:
+        return parse_construction(source, notes=notes)
+    except (ValueError, OSError) as exc:
+        raise _InputError(exc) from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(exc) from exc
+
+
 def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _rees_report_doc(report: XConditionReport, presentation: ReesPresentation) -> dict:
@@ -57,7 +76,7 @@ def _rees_report_doc(report: XConditionReport, presentation: ReesPresentation) -
 def cmd_covers(args) -> int:
     from .graphs import minimal_vertex_covers
 
-    g = parse_construction(args.graph)
+    g = _read_graph(args.graph)
     covers = minimal_vertex_covers(g)
     ordered = [[v for v in g.labels if v in c.members] for c in covers]
     for members in ordered:
@@ -68,7 +87,7 @@ def cmd_covers(args) -> int:
 
 
 def cmd_rees(args) -> int:
-    g = parse_construction(args.graph)
+    g = _read_graph(args.graph)
     presentation = rees_presentation(cover_ideal(g), degree_cap=args.gb_degree_cap)
     report = x_condition(presentation)
     if args.dump_basis:
@@ -96,7 +115,7 @@ def _max_gens(args) -> dict:
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     notes: list[str] = []
-    g = parse_construction(args.graph, notes=notes)
+    g = _read_graph(args.graph, notes)
     ideal = cover_ideal(g)
     presentation = rees_presentation(ideal, degree_cap=args.gb_degree_cap)
     report = x_condition(presentation)
@@ -208,13 +227,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_construct(args) -> int:
     notes: list[str] = []
-    g = parse_construction(args.dsl, notes=notes)
+    g = _read_graph(args.dsl, notes)
     text = graph_to_json(g)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         print(text, end="")
     if args.json:
@@ -223,7 +241,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    g = parse_construction(args.graph)
+    g = _read_graph(args.graph)
     ideal = cover_ideal(g)
     if args.power > 1:
         ideal = power(ideal, args.power)
@@ -311,7 +329,7 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -363,6 +363,62 @@ def test_random_binomial_systems_satisfy_criterion():
             assert reduce_binomial(b, basis.elements) is None
 
 
+def test_field_width_does_not_change_the_basis():
+    # the pair update packs each lead into fields sized by the degree cap
+    # and the inputs; the tightest cap that fits the inputs makes the
+    # fields as narrow as they can be, and must give the basis wide ones give
+    rng = random.Random(505)
+    ran = 0
+    for _ in range(150):
+        names = tuple(f"x{v}" for v in range(1, rng.randint(65, 100) + 1))
+        u = VariableUniverse(names)
+        pool = rng.sample(names, 5)
+
+        def term():
+            return u.monomial({v: rng.randint(1, 4) for v in rng.sample(pool, rng.randint(1, 2))})
+
+        pairs = [oriented_binomial(term(), term()) for _ in range(rng.randint(2, 4))]
+        gens = [b for b in pairs if b is not None]
+        tight = max(m.total_degree for b in gens for m in (b.lead, b.trail))
+        try:
+            basis = buchberger(gens, degree_cap=tight)
+        except DegreeCapExceeded:
+            continue
+        ran += 1
+        assert basis.elements == buchberger(gens, degree_cap=200).elements
+    assert ran >= 20
+
+
+def test_input_terms_above_the_degree_cap(monkeypatch):
+    # the fields are sized for the largest input term, not only for the cap:
+    # x3^300 is coprime to every other lead, so it forms no S-pair whatever
+    # the cap, and the pair sequence is the one a wide field gives
+    u = VariableUniverse(tuple(f"x{v}" for v in range(1, 7)))
+    gens = [
+        Binomial(_mk("x3^300", u), _mk("x5*x6", u)),
+        Binomial(_mk("x1*x4", u), _mk("x2*x5", u)),
+        Binomial(_mk("x2*x4", u), _mk("x5^2", u)),
+        Binomial(_mk("x1*x2", u), _mk("x4*x6", u)),
+    ]
+    seen = []
+    real_s_pair = binomial_gb.s_pair
+
+    def recording_s_pair(f, g):
+        seen.append((f, g))
+        return real_s_pair(f, g)
+
+    monkeypatch.setattr(binomial_gb, "s_pair", recording_s_pair)
+    basis = buchberger(gens, degree_cap=40)
+    tight = list(seen)
+    seen.clear()
+    assert basis.elements == buchberger(gens, degree_cap=400).elements
+    assert tight == seen
+    assert all(gens[0] not in pair for pair in tight)
+    assert is_groebner_basis(basis)
+    for b in gens:
+        assert reduce_binomial(b, basis.elements) is None
+
+
 def test_lead_index_finds_the_first_live_divisor():
     # the bitset lookup must pick exactly the rule a scan over the live
     # rules in insertion order picks first, past 64 variables too
@@ -382,7 +438,7 @@ def test_lead_index_finds_the_first_live_divisor():
         rules = []
         for _ in range(rng.randint(1, 60)):
             lead = sparse(width, rng.randint(1, 4), 2)
-            rules.append((lead, binomial_gb._support(lead), sparse(width, 2, 3)))
+            rules.append((lead, sparse(width, 2, 3)))
         index = binomial_gb._LeadIndex(width, rules)
         alive = set(range(len(rules)))
         for g in rng.sample(range(len(rules)), rng.randint(0, len(rules) // 2)):
@@ -417,6 +473,7 @@ PAIR_SEQUENCE_COUNTS = {
     "attach(edge;edge,edge)": (191, 191, 160),
     "cone(cycle:5)": (147, 147, 119),
     "attach(path:3;edge,edge,edge)": (6068, 6068, 5718),
+    "cycle:7": (235, 235, 196),
 }
 
 

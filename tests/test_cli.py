@@ -249,6 +249,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_unwritable_reports_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "no_such_dir" / "out.json")
+    for argv in [("--json", missing, "rees", "path:3"), ("construct", "path:3", "--out", missing)]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "input error" in err
+
+
 def test_bounds_below_one_are_usage_errors(capsys):
     for argv in [
         ["--max-gens", "-1", "analyze", "path:2"],
@@ -285,13 +293,18 @@ def test_resource_bounds_exit_3(capsys):
 
 
 def test_internal_key_error_is_not_an_input_error(monkeypatch, capsys):
-    def broken(graph):
-        raise KeyError("internal")
+    # only reading the graph and writing reports may exit 2; an exception
+    # from the engine is a bug, whatever its class
+    for attr, error in [("cover_ideal", KeyError), ("rees_presentation", ValueError)]:
 
-    monkeypatch.setattr(cli_module, "cover_ideal", broken)
-    with pytest.raises(KeyError):
-        main(["rees", "path:3"])
-    assert "input error" not in capsys.readouterr().err
+        def broken(*args, **kwargs):
+            raise error("internal")
+
+        monkeypatch.setattr(cli_module, attr, broken)
+        with pytest.raises(error):
+            main(["rees", "path:3"])
+        assert "input error" not in capsys.readouterr().err
+        monkeypatch.undo()
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
