@@ -34,7 +34,7 @@ for k in (1, 2, 3):
     print(f"k={k}: {pairs}")
     print(f"      minimal generators of the power: {', '.join(str(m) for m in pk.gens)}")
     print("      standard monomials generate the power minimally:",
-          minimal_generation_check(p, k))
+          minimal_generation_check(std, pk))
 
 # The mapped generators arrive in the order the theory predicts admits
 # linear quotients: every colon ideal against the earlier generators is

@@ -5,11 +5,11 @@ coefficients fixed at +1/-1), which is closed under S-pairs and
 reduction, so no field arithmetic ever happens.  The order is the one
 of ``monomials``, lex on the exponent tuple, so comparing two terms
 compares their ``exponents``; rewriting and S-pairs run on those raw
-tuples.  Every reduction looks its divisor up in a lead index: one int
-bitset per variable of the rules whose lead uses it, so the leads whose
-support fits inside a monomial's come from one mask intersection, and
-only those are compared exponent by exponent.  The pair update runs on
-leads packed into one int each, a fixed-width field per variable, so a
+tuples.  Every reduction looks its divisor up in the package's one
+divisor index, ``monomials._LeadIndex``, whose entries here are the rules
+(lead, trail): only the leads whose support fits inside the monomial's
+are compared exponent by exponent.  The pair update runs on leads
+packed into one int each, a fixed-width field per variable, so a
 divisibility test, a quotient or an lcm is a few word operations.  Toric
 kernels of monomial maps are computed by adjoining an elimination variable,
 which that order puts above every other variable, and keeping the
@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
-from operator import and_, le, lshift, mul, not_, or_
+from operator import lshift, mul, not_, or_
 from typing import Iterable, Sequence
 
 from .errors import DegreeCapExceeded
@@ -31,6 +31,7 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     VariableUniverse,
+    _LeadIndex,
     _monomial,
     _same_universe,
     minimalize,
@@ -97,56 +98,6 @@ class GroebnerBasis:
     def initial_ideal(self) -> MonomialIdeal:
         """The ideal of lead monomials, computed once per basis."""
         return minimalize([e.lead for e in self.elements], self.universe)
-
-
-class _LeadIndex:
-    """Rewrite rules indexed by the support of their leads.
-
-    Bit g of an int bitset stands for ``rules[g]``.  ``has[v]`` holds the
-    rules whose lead uses variable v, and ``alive`` the rules still in
-    use.  The live rules whose lead support fits inside supp(m) are then
-    ``alive & ~OR{has[v] : m_v = 0}``; they are tried from the lowest bit
-    up, so a lookup finds the first live divisor in insertion order.
-    """
-
-    __slots__ = ("rules", "has", "alive")
-
-    def __init__(self, width: int, rules: Iterable[_Rule] = ()):
-        self.rules: list[_Rule] = []
-        self.has = [0] * width
-        self.alive = 0
-        for rule in rules:
-            self.add(rule)
-
-    def add(self, rule: _Rule) -> None:
-        bit = 1 << len(self.rules)
-        self.rules.append(rule)
-        has = self.has
-        for v in compress(range(len(has)), rule[0]):
-            has[v] |= bit
-        self.alive |= bit
-
-    def first_divisor(self, m: tuple[int, ...]) -> _Rule | None:
-        """The first live rule whose lead divides m; None when none does."""
-        rules = self.rules
-        candidates = self.alive & ~reduce(or_, compress(self.has, map(not_, m)), 0)
-        while candidates:
-            low = candidates & -candidates
-            rule = rules[low.bit_length() - 1]
-            if all(map(le, rule[0], m)):
-                return rule
-            candidates ^= low
-        return None
-
-    def retire(self, m: tuple[int, ...]) -> None:
-        """Mark dead every live rule whose lead m divides."""
-        rules = self.rules
-        candidates = reduce(and_, compress(self.has, m), self.alive)
-        while candidates:
-            low = candidates & -candidates
-            if all(map(le, m, rules[low.bit_length() - 1][0])):
-                self.alive ^= low
-            candidates ^= low
 
 
 def _rewrite_once(m: tuple[int, ...], index: _LeadIndex) -> tuple[int, ...] | None:

@@ -21,7 +21,7 @@ import time
 from .binomial_gb import DEGREE_CAP
 from .errors import ResourceLimitExceeded
 from .graphs import Graph, graph_to_json, parse_construction
-from .monomials import cover_ideal, power
+from .monomials import VariableUniverse, cover_ideal, power
 from .rees import (
     ReesPresentation,
     XConditionReport,
@@ -31,7 +31,6 @@ from .rees import (
     x_condition,
 )
 from .resolutions import (
-    LinearQuotientsCertificate,
     betti_table,
     find_linear_quotients_order,
     is_componentwise_linear,
@@ -46,9 +45,14 @@ class _InputError(Exception):
 
 def _read_graph(source: str, notes: list | None = None) -> Graph:
     try:
-        return parse_construction(source, notes=notes)
+        g = parse_construction(source, notes=notes)
+        VariableUniverse(g.labels)  # every label must be a variable name
+        for name in g.labels:
+            if name == "t" or name[:1] == "y" and name[1:].isdigit():
+                raise ValueError(f"vertex label {name!r} is reserved for the Rees presentation")
     except (ValueError, OSError) as exc:
         raise _InputError(exc) from exc
+    return g
 
 
 def _write_text(path: str, text: str) -> None:
@@ -127,7 +131,7 @@ def cmd_analyze(args) -> int:
     for k in range(1, args.max_power + 1):
         sm = standard_monomials(presentation, k)
         pk = power(ideal, k)
-        mingen = minimal_generation_check(presentation, k)
+        mingen = minimal_generation_check(sm, pk)
         cert = None
         lq_ok: bool | None = None
         if not degenerate:
@@ -147,8 +151,7 @@ def cmd_analyze(args) -> int:
         }
         if args.betti:
             cw = is_componentwise_linear(pk, **_max_gens(args))
-            # Generated in one degree d, pk is its own degree-d component.
-            entry["linear_resolution"] = pk.is_equigenerated() and cw.by_degree[pk.min_degree()]
+            entry["linear_resolution"] = cw.linear_resolution
             entry["componentwise_linear"] = cw.componentwise_linear
             entry["componentwise_by_degree"] = {
                 str(j): ok for j, ok in sorted(cw.by_degree.items())

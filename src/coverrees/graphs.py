@@ -509,12 +509,7 @@ def _parse_atom(text: str) -> Graph:
     return standard_family(name, *params)
 
 
-def _default_loader(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
-
-
-def parse_construction(source: str, loader=None, notes: list | None = None) -> Graph:
+def parse_construction(source: str, notes: list | None = None) -> Graph:
     """Build a graph from a construction string.
 
     Grammar: a `.json` file path, a family atom like ``path:4`` /
@@ -523,20 +518,20 @@ def parse_construction(source: str, loader=None, notes: list | None = None) -> G
     ``cw(<bipartite>;leaves=N;triangles=N)``.  ``notes`` collects
     human-readable remarks (degenerate attached pieces and the like).
     """
-    loader = loader or _default_loader
     src = source.strip()
     if not src:
         raise ValueError("empty construction string")
     if src.endswith(".json"):
-        return loader(src)
+        with open(src, encoding="utf-8") as fh:
+            return graph_from_json(fh.read())
     if src.startswith("cone(") and src.endswith(")"):
-        return cone(parse_construction(src[5:-1], loader, notes))
+        return cone(parse_construction(src[5:-1], notes))
     if src.startswith("attach(") and src.endswith(")"):
         pieces = _split_top(src[7:-1], ";")
         if len(pieces) != 2:
             raise ValueError("attach expects attach(<base>;<h1>,<h2>,...)")
-        base = parse_construction(pieces[0], loader, notes)
-        hs = [parse_construction(p, loader, notes) for p in _split_top(pieces[1], ",")]
+        base = parse_construction(pieces[0], notes)
+        hs = [parse_construction(p, notes) for p in _split_top(pieces[1], ",")]
         for i, h in enumerate(hs, start=1):
             if h.n_vertices > 0 and h.n_edges == 0 and notes is not None:
                 notes.append(f"attached piece {i} is edgeless")
@@ -545,7 +540,7 @@ def parse_construction(source: str, loader=None, notes: list | None = None) -> G
         pieces = _split_top(src[3:-1], ";")
         if len(pieces) != 3:
             raise ValueError("cw expects cw(<bipartite>;leaves=N;triangles=N)")
-        base = parse_construction(pieces[0], loader, notes)
+        base = parse_construction(pieces[0], notes)
         counts = {}
         for piece in pieces[1:]:
             key, _, val = piece.partition("=")

@@ -16,8 +16,9 @@ variables, and on the base block alone it is lex by vertex priority.
 from __future__ import annotations
 
 import re
-from itertools import combinations_with_replacement
-from operator import add, le, sub
+from functools import reduce
+from itertools import combinations_with_replacement, compress
+from operator import add, and_, le, not_, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -276,6 +277,68 @@ def canonical_key(m: Monomial) -> tuple[int, ...]:
 # Monomial ideals
 
 
+class _LeadIndex:
+    """Tuples led by an exponent tuple, indexed by the support of that lead.
+
+    Bit g of an int bitset stands for ``entries[g]``.  ``has[v]`` holds
+    the entries whose lead uses variable v, and ``alive`` those still in
+    use.  The live entries whose lead support fits inside supp(m) are then
+    ``alive & ~OR{has[v] : m_v = 0}``; they are tried from the lowest bit
+    up, so a lookup finds the first live divisor in insertion order.
+    """
+
+    __slots__ = ("entries", "has", "alive")
+
+    def __init__(self, width: int, entries: Iterable[tuple] = ()):
+        self.entries: list[tuple] = []
+        self.has = [0] * width
+        self.alive = 0
+        for entry in entries:
+            self.add(entry)
+
+    def add(self, entry: tuple) -> None:
+        bit = 1 << len(self.entries)
+        self.entries.append(entry)
+        has = self.has
+        for v in compress(range(len(has)), entry[0]):
+            has[v] |= bit
+        self.alive |= bit
+
+    def first_divisor(self, m: tuple[int, ...]) -> tuple | None:
+        """The first live entry whose lead divides m; None when none does."""
+        entries = self.entries
+        candidates = self.alive & ~reduce(or_, compress(self.has, map(not_, m)), 0)
+        while candidates:
+            low = candidates & -candidates
+            entry = entries[low.bit_length() - 1]
+            if all(map(le, entry[0], m)):
+                return entry
+            candidates ^= low
+        return None
+
+    def retire(self, m: tuple[int, ...]) -> None:
+        """Mark dead every live entry whose lead m divides."""
+        entries = self.entries
+        candidates = reduce(and_, compress(self.has, m), self.alive)
+        while candidates:
+            low = candidates & -candidates
+            if all(map(le, m, entries[low.bit_length() - 1][0])):
+                self.alive ^= low
+            candidates ^= low
+
+
+def _minimal(universe: VariableUniverse, gens: set[Monomial]) -> list[Monomial]:
+    """The minimal elements of a set of monomials, ascending by degree; a
+    proper divisor has lower degree, so the scan meets it first."""
+    if any(g.universe != universe for g in gens):
+        raise ValueError("generator outside the declared universe")
+    index = _LeadIndex(len(universe.all_vars))
+    for g in sorted(gens, key=lambda m: (m.total_degree, m.exponents)):
+        if index.first_divisor(g.exponents) is None:
+            index.add((g.exponents, g))
+    return [entry[1] for entry in index.entries]
+
+
 class MonomialIdeal:
     """A monomial ideal held as its unique minimal generating set, sorted
     descending under the canonical key so equal ideals compare equal."""
@@ -283,17 +346,12 @@ class MonomialIdeal:
     __slots__ = ("universe", "gens")
 
     def __init__(self, universe: VariableUniverse, gens: Iterable[Monomial]):
-        gens = list(gens)
-        for g in gens:
-            if g.universe != universe:
-                raise ValueError("generator outside the declared universe")
-        gens = sorted(set(gens), key=canonical_key, reverse=True)
-        for i, g in enumerate(gens):
-            for h in gens:
-                if h is not g and h.divides(g):
-                    raise ValueError(f"generating set is not minimal: {h} divides {g}")
+        gens = set(gens)
+        redundant = gens.difference(_minimal(universe, gens))
+        if redundant:
+            raise ValueError(f"generating set is not minimal: {min(redundant, key=str)}")
         self.universe = universe
-        self.gens = tuple(gens)
+        self.gens = tuple(sorted(gens, key=canonical_key, reverse=True))
 
     @property
     def is_zero(self) -> bool:
@@ -337,20 +395,13 @@ def minimalize(gens: Iterable[Monomial], universe: VariableUniverse | None = Non
         if not pool:
             raise ValueError("universe required for an empty generating set")
         universe = pool[0].universe
-    distinct = sorted(set(pool), key=lambda m: (m.total_degree, canonical_key(m)))
-    kept: list[Monomial] = []
-    for m in distinct:
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    return MonomialIdeal(universe, kept)
+    return MonomialIdeal(universe, _minimal(universe, set(pool)))
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """I^k via k-fold products of generators, then minimalization."""
     if k < 1:
         raise ValueError("power expects k >= 1")
-    if ideal.is_zero:
-        return ideal
     prods = {
         product(ideal.universe, combo)
         for combo in combinations_with_replacement(ideal.gens, k)

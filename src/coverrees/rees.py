@@ -21,9 +21,9 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     VariableUniverse,
+    _LeadIndex,
     canonical_key,
     monomials_of_degree,
-    power,
     product,
 )
 
@@ -74,12 +74,6 @@ def rees_presentation(
     if ideal.universe.y_vars or ideal.universe.elim_var is not None:
         raise ValueError("the ideal must live in a base-block-only universe")
     gens = sorted(ideal.gens, key=canonical_key, reverse=True)
-    for j in range(1, len(gens) + 1):
-        name = f"y{j}"
-        if name in ideal.universe.s_vars:
-            raise ValueError(f"vertex label {name!r} collides with an adjoined variable")
-    if "t" in ideal.universe.s_vars:
-        raise ValueError("vertex label 't' collides with the elimination variable")
     with_t = VariableUniverse(ideal.universe.s_vars, (), "t")
     t = with_t.monomial({"t": 1})
     images = [g.restricted(with_t) * t for g in gens]
@@ -135,18 +129,18 @@ class StandardMonomialSet:
 def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:
     """Standard monomials of degree k in the y-block.
 
-    Only the pure-y minimal generators of the initial ideal can divide a
-    y-monomial, so they are the whole filter.  For the unit ideal the
-    kernel is zero and y1^k, mapped to 1, is the one standard monomial.
+    A y-monomial is standard when no minimal generator of the initial
+    ideal divides it; the divisor index tries only the pure-y ones.  For
+    the unit ideal the kernel is zero and y1^k, mapped to 1, is the one.
     """
     if k < 1:
         raise ValueError("standard_monomials expects k >= 1")
     in_gens = initial_ideal(p.basis).gens
-    pure_y = [m for m in in_gens if m.s_degree == 0]
+    index = _LeadIndex(len(p.universe.all_vars), [(m.exponents,) for m in in_gens])
     members = [
         m
         for m in monomials_of_degree(p.universe, k, p.universe.y_vars)
-        if not any(g.divides(m) for g in pure_y)
+        if index.first_divisor(m.exponents) is None
     ]
     members.sort(key=canonical_key)
     base = p.ideal.universe
@@ -159,13 +153,13 @@ def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:
     return StandardMonomialSet(k=k, members=tuple(members), mapped_generators=tuple(mapped))
 
 
-def minimal_generation_check(p: ReesPresentation, k: int) -> bool:
+def minimal_generation_check(standard: StandardMonomialSet, power: MonomialIdeal) -> bool:
     """Mapped standard monomials == minimal generators of the k-th power.
 
     Guaranteed to hold when the initial ideal is quadratic; callable (and
     recorded, not assumed) in every other case.
     """
-    return set(standard_monomials(p, k).mapped_generators) == set(power(p.ideal, k).gens)
+    return set(standard.mapped_generators) == set(power.gens)
 
 
 def pi_image(p: ReesPresentation, m: Monomial) -> Monomial:

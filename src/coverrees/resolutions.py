@@ -322,11 +322,10 @@ def has_linear_resolution(
     max_generators: int = BETTI_MAX_GENERATORS,
     max_multidegrees: int = MAX_MULTIDEGREES,
 ) -> bool:
-    """Equigenerated in degree d and of regularity d (Eisenbud-Goto)."""
-    if not ideal.is_equigenerated():
-        return ideal.is_zero
-    table = betti_table(ideal, max_generators, max_multidegrees)
-    return table.regularity() == ideal.min_degree()
+    """Equigenerated and componentwise linear (``ComponentwiseReport.linear_resolution``)."""
+    if not ideal.is_zero and not ideal.is_equigenerated():
+        return False
+    return is_componentwise_linear(ideal, max_generators, max_multidegrees).linear_resolution
 
 
 @dataclass
@@ -342,6 +341,12 @@ class ComponentwiseReport:
 
     componentwise_linear: bool
     by_degree: dict[int, bool]
+
+    @property
+    def linear_resolution(self) -> bool:
+        """Equigenerated and componentwise linear; with one generator degree
+        d that is reg <= d on one Betti table.  The zero ideal counts."""
+        return self.componentwise_linear and len(self.by_degree) <= 1
 
 
 def is_componentwise_linear(

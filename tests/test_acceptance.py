@@ -114,7 +114,7 @@ def test_criterion_1_edge_graph_end_to_end():
             assert len(std.members) == k + 1 == len(pk.gens)
             assert len(set(std.mapped_generators)) == k + 1
             assert set(std.mapped_generators) == set(pk.gens)
-            assert minimal_generation_check(p, k)
+            assert minimal_generation_check(standard_monomials(p, k), power(p.ideal, k))
             cert = find_linear_quotients_order(pk.gens)
             assert cert is not None and _admits(cert)
         assert [str(m) for m in standard_monomials(p, 2).members] == [
@@ -136,7 +136,7 @@ def test_criterion_2_path_graph_full_certification():
         ideal = p.ideal
         for k in range(1, 4):
             assert len(standard_monomials(p, k).members) == k + 1
-            assert minimal_generation_check(p, k)
+            assert minimal_generation_check(standard_monomials(p, k), power(p.ideal, k))
         std2 = standard_monomials(p, 2)
         assert [str(m) for m in std2.members] == ["y2^2", "y1*y2", "y1^2"]
         assert {str(m) for m in std2.mapped_generators} == {
@@ -160,8 +160,8 @@ def test_criterion_3_four_cycle_negative_control():
         assert [str(m) for m in rep.offending_generators] == ["x2*x4*y1"]
         assert [str(m) for m in rep.quadratic_offenders] == ["x2*x4*y1"]
         # the implication is one-way: generation may still hold without it
-        assert minimal_generation_check(p, 1)
-        assert minimal_generation_check(p, 2)
+        assert minimal_generation_check(standard_monomials(p, 1), power(p.ideal, 1))
+        assert minimal_generation_check(standard_monomials(p, 2), power(p.ideal, 2))
         ideal = p.ideal
         assert betti_table(ideal).entries == {(0, 2): 2, (1, 4): 1}
         assert not has_linear_resolution(ideal)
@@ -232,8 +232,8 @@ def test_criterion_6_cameron_walker_consequences():
         ]
         ideal = p.ideal
         assert {m.total_degree for m in ideal.gens} == {3}
-        assert minimal_generation_check(p, 1)
-        assert minimal_generation_check(p, 2)
+        assert minimal_generation_check(standard_monomials(p, 1), power(p.ideal, 1))
+        assert minimal_generation_check(standard_monomials(p, 2), power(p.ideal, 2))
         assert len(standard_monomials(p, 2).members) == 14
         square = power(ideal, 2)
         assert len(square.gens) == 14
@@ -280,7 +280,7 @@ def test_criterion_7_standard_monomials_generate_all_small_powers():
                 pk = power(p.ideal, k)
                 assert len(std.members) == len(pk.gens), (name, k)
                 assert set(std.mapped_generators) == set(pk.gens), (name, k)
-                assert minimal_generation_check(p, k), (name, k)
+                assert minimal_generation_check(std, pk), (name, k)
         assert skipped == ["cycle:4"]
 
 

@@ -158,11 +158,33 @@ def test_analyze_json_reports_are_reproducible(tmp_path, capsys):
 
 def test_analyze_flags_prediction_failures(capsys, monkeypatch):
     # force a generation mismatch to exercise the exit-1 path
-    monkeypatch.setattr(cli_module, "minimal_generation_check", lambda p, k: False)
+    monkeypatch.setattr(cli_module, "minimal_generation_check", lambda sm, pk: False)
     code, out, err = run(capsys, "analyze", "path:3", "-k", "1")
     assert code == 1
     assert "PREDICTION FAILED despite quadratic initial ideal" in err
     assert "minimal_generation at k=1" in err
+
+
+def test_analyze_computes_each_power_once(capsys, monkeypatch):
+    # counted wherever a power or a standard-monomial set can be computed
+    import coverrees.rees as rees_module
+
+    calls = {"power": [], "standard_monomials": []}
+    for module in (cli_module, rees_module):
+        for name in calls:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(source, k, name=name, original=original):
+                calls[name].append(k)
+                return original(source, k)
+
+            monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(capsys, "analyze", "path:3", "-k", "3")
+    assert code == 0
+    assert "all predicted properties verified" in out
+    assert calls == {"power": [1, 2, 3], "standard_monomials": [1, 2, 3]}
 
 
 def test_analyze_skips_predictions_for_degenerate_input(capsys):
@@ -240,10 +262,18 @@ def test_input_errors_exit_2(tmp_path, capsys):
             "nested_part.json",
             {"vertices": ["a", "b"], "edges": [["a", "b"]], "parts": {"X": [["a"]], "Y": ["b"]}},
         ),
+        # labels that cannot name a variable, or that name one of the Rees
+        # presentation's own
+        ("bad_name.json", {"vertices": ["a-b", "c"], "edges": [["a-b", "c"]]}),
+        ("adjoined.json", {"vertices": ["y1", "c"], "edges": [["y1", "c"]]}),
+        ("elimination.json", {"vertices": ["t", "c"], "edges": [["t", "c"]]}),
     ]:
         path = tmp_path / name
         path.write_text(json.dumps(doc))
-        assert run(capsys, "covers", str(path))[0] == 2
+        for command in ("covers", "rees", "analyze", "betti"):
+            code, _, err = run(capsys, command, str(path))
+            assert code == 2
+            assert "input error" in err
     code, _, err = run(capsys, "rees", "cw(edge;leaves=1;triangles=1)")
     assert code == 2
     assert "input error" in err

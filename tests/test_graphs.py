@@ -383,16 +383,15 @@ def test_parse_construction_notes_flag_edgeless_pieces():
     assert notes == ["attached piece 1 is edgeless"]
 
 
-def test_parse_construction_json_loader():
-    seen = []
-
-    def fake_loader(path):
-        seen.append(path)
-        return standard_family("path", 2)
-
-    g = parse_construction("somewhere/g.json", loader=fake_loader)
-    assert seen == ["somewhere/g.json"]
-    assert g.n_edges == 1
+def test_parse_construction_json_loader(tmp_path):
+    # a .json source inside a compound is read from its path
+    path = tmp_path / "g.json"
+    path.write_text(graph_to_json(build_graph(["a", "b"], [("a", "b")])))
+    g = parse_construction(f"cone({path})")
+    assert g.labels == ("a", "b", "x1")
+    assert g.edges == (("a", "b"), ("a", "x1"), ("b", "x1"))
+    with pytest.raises(FileNotFoundError):
+        parse_construction(f"cone({tmp_path / 'missing.json'})")
 
 
 def test_parse_construction_rejects_malformed_strings():

@@ -24,7 +24,7 @@ from coverrees import (
     variable,
 )
 
-from oracles import compare_monomials, random_monomial, random_universe
+from oracles import compare_monomials, divides_exponents, random_monomial, random_universe
 
 
 def _block_names(u, block):
@@ -308,6 +308,43 @@ def test_minimalize():
     assert minimalize([], u).is_zero
     with pytest.raises(ValueError):
         minimalize([])
+
+
+def test_indexed_minimality_matches_brute_force():
+    # sets above 64 generators make the index bitsets span several words
+    rng = random.Random(2718)
+    wide = 0
+    for trial in range(120):
+        u = random_universe(rng, max_s=6, max_y=3, with_t=True)
+        if trial % 4:
+            size = rng.choice([0, 1, 2, 5, 20, 40])
+            gens = [random_monomial(rng, u, max_degree=5) for _ in range(size)]
+        else:
+            # over at least 7 variables, 100 draws of degree 4 keep a large
+            # antichain, and draws of degree 5 find their divisors among it
+            while len(u.all_vars) < 7:
+                u = random_universe(rng, max_s=6, max_y=3, with_t=True)
+            xs = [variable(u, v) for v in u.all_vars]
+            gens = [product(u, rng.choices(xs, k=4 + (i >= 100))) for i in range(140)]
+        if gens and rng.random() < 0.3:
+            gens += rng.choices(gens, k=rng.randint(1, 5))
+        if rng.random() < 0.1:
+            gens.append(u.one())
+        rng.shuffle(gens)
+        distinct = set(gens)
+        brute = {
+            g
+            for g in distinct
+            if not any(h != g and divides_exponents(h.exps, g.exps) for h in distinct)
+        }
+        wide += len(brute) > 64
+        assert set(minimalize(gens, u).gens) == brute
+        if brute == distinct:
+            assert set(MonomialIdeal(u, gens).gens) == distinct
+        else:
+            with pytest.raises(ValueError):
+                MonomialIdeal(u, gens)
+    assert wide >= 10
 
 
 def test_power():
