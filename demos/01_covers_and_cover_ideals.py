@@ -7,7 +7,7 @@ enumerate their minimal vertex covers, and read off the cover ideal.
 """
 
 from coverrees import (
-    build_graph,
+    Graph,
     cover_ideal,
     is_chordal,
     is_unmixed,
@@ -17,13 +17,13 @@ from coverrees import (
 
 # A path on three vertices.  The label list fixes the priority x1 > x2 > x3,
 # which later decides how generators are matched to the adjoined variables.
-path = build_graph(["x1", "x2", "x3"], [("x1", "x2"), ("x2", "x3")])
+path = Graph(["x1", "x2", "x3"], [("x1", "x2"), ("x2", "x3")])
 print("path edges:", path.edges)
 
 # Every edge must contain a cover vertex; the two minimal covers are the
 # middle vertex alone and the two endpoints together.
 for cover in minimal_vertex_covers(path):
-    print("  minimal cover:", "{" + ",".join(sorted(cover.members)) + "}")
+    print("  minimal cover:", "{" + ",".join(sorted(cover)) + "}")
 
 # The cover ideal has one squarefree generator per minimal cover, stored
 # in descending order under the priority.
@@ -34,7 +34,7 @@ print("cover ideal:", ", ".join(str(m) for m in ideal.gens))
 for source in ["cycle:4", "star:3", "friendship:2", "cone(path:3)"]:
     g = parse_construction(source)
     covers = minimal_vertex_covers(g)
-    sizes = sorted(len(c.members) for c in covers)
+    sizes = sorted(len(c) for c in covers)
     print(f"{source}: {g.n_vertices} vertices, {len(covers)} minimal covers, sizes {sizes}")
 
 # Unmixed means all minimal covers have the same size; chordal means no

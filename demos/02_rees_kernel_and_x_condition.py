@@ -8,7 +8,7 @@ verdict depends on the vertex priority, not just on the graph.
 """
 
 from coverrees import (
-    build_graph,
+    Graph,
     cover_ideal,
     parse_construction,
     rees_presentation,
@@ -48,7 +48,7 @@ show("star, leaves before center", leaves_first)
 
 # The same graph with the center first reverses the matching and the unique
 # relation flips: now the lead term carries all three leaves.
-center_first = build_graph(
+center_first = Graph(
     ["x1", "z1", "z2", "z3"],
     [("x1", "z1"), ("x1", "z2"), ("x1", "z3")],
 )

@@ -8,8 +8,8 @@ cover ideal and its square both resolve linearly.
 """
 
 from coverrees import (
+    Graph,
     betti_table,
-    build_graph,
     cameron_walker,
     cover_ideal,
     find_linear_quotients_order,
@@ -46,7 +46,7 @@ print("\npath cover ideal componentwise linear:",
 
 # A Cameron-Walker graph: an edge core with one leaf on the left vertex and
 # one pendant triangle on the right one.  Its cover ideal is unmixed.
-core = build_graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
+core = Graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
 g = cameron_walker(core, 1, 1)
 print("\nCameron-Walker graph:", g.labels)
 print("unmixed:", is_unmixed(g))

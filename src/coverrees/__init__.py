@@ -10,7 +10,6 @@ from .binomial_gb import (
     Binomial,
     GroebnerBasis,
     buchberger,
-    initial_ideal,
     is_groebner_basis,
     oriented_binomial,
     reduce_binomial,
@@ -26,9 +25,7 @@ from .errors import (
 from .graphs import (
     Graph,
     Poset,
-    VertexCover,
     attach,
-    build_graph,
     cameron_walker,
     cm_bipartite_from_poset,
     cone,
@@ -50,7 +47,6 @@ from .monomials import (
     colon,
     component,
     cover_ideal,
-    minimalize,
     monomials_of_degree,
     parse_monomial,
     power,

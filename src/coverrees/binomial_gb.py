@@ -34,7 +34,6 @@ from .monomials import (
     _LeadIndex,
     _monomial,
     _same_universe,
-    minimalize,
     variable,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "s_pair",
     "buchberger",
     "toric_kernel",
-    "initial_ideal",
     "is_groebner_basis",
 ]
 
@@ -97,7 +95,7 @@ class GroebnerBasis:
     @cached_property
     def initial_ideal(self) -> MonomialIdeal:
         """The ideal of lead monomials, computed once per basis."""
-        return minimalize([e.lead for e in self.elements], self.universe)
+        return MonomialIdeal(self.universe, (e.lead for e in self.elements))
 
 
 def _rewrite_once(m: tuple[int, ...], index: _LeadIndex) -> tuple[int, ...] | None:
@@ -423,11 +421,6 @@ def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) ->
         kept.append(Binomial(e.lead.restricted(target), e.trail.restricted(target)))
     # dropping t, which is 0 on every kept term, leaves the leads ascending
     return GroebnerBasis(target, tuple(kept))
-
-
-def initial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
-    """The ideal of lead monomials of a Groebner basis."""
-    return basis.initial_ideal
 
 
 def is_groebner_basis(basis: GroebnerBasis) -> bool:

@@ -82,7 +82,7 @@ def cmd_covers(args) -> int:
 
     g = _read_graph(args.graph)
     covers = minimal_vertex_covers(g)
-    ordered = [[v for v in g.labels if v in c.members] for c in covers]
+    ordered = [[v for v in g.labels if v in cover] for cover in covers]
     for members in ordered:
         print("{" + ",".join(members) + "}")
     if args.json:

@@ -3,22 +3,20 @@
 The label sequence of a graph is the variable priority used everywhere
 downstream (highest first), so every constructor documents where it puts
 new vertices.  Attached vertices produced by ``attach`` are the
-``z<i>_<j>`` labels (``z<j>`` in the coned families) and are placed
-before the base vertices, matching the priority that makes the composed
-Rees presentations behave; cones put the new universal vertex last.
+``z<i>_<j>`` labels (``zz<i>_<j>`` when the base is itself attached,
+``z<j>`` in the coned families) and are placed before the base vertices,
+matching the priority that makes the composed Rees presentations behave;
+cones put the new universal vertex last.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Graph",
-    "VertexCover",
     "Poset",
-    "build_graph",
     "standard_family",
     "cone",
     "attach",
@@ -103,15 +101,6 @@ class Graph:
         return f"Graph({list(self.labels)}, {len(self.edges)} edges)"
 
 
-def build_graph(
-    vertex_labels: Sequence[str],
-    edges: Iterable[tuple[str, str]],
-    parts: tuple[Sequence[str], Sequence[str]] | None = None,
-) -> Graph:
-    """Graph on the given labels in the given priority order."""
-    return Graph(vertex_labels, edges, parts)
-
-
 # ---------------------------------------------------------------------------
 # Standard families
 
@@ -135,7 +124,7 @@ def standard_family(kind: str, *params: int) -> Graph:
         need(1)
         n = params[0]
         labels = [f"x{i}" for i in range(1, n + 1)]
-        return build_graph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+        return Graph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
     if kind == "cycle":
         need(1)
         n = params[0]
@@ -143,20 +132,23 @@ def standard_family(kind: str, *params: int) -> Graph:
             raise ValueError("cycle expects at least 3 vertices")
         labels = [f"x{i}" for i in range(1, n + 1)]
         edges = [(labels[i], labels[(i + 1) % n]) for i in range(n)]
-        return build_graph(labels, edges)
+        return Graph(labels, edges)
     if kind == "complete":
         need(1)
         n = params[0]
         labels = [f"x{i}" for i in range(1, n + 1)]
         edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
-        return build_graph(labels, edges)
+        return Graph(labels, edges)
     if kind == "complete_bipartite":
         need(2)
         a, b = params
         left = [f"x{i}" for i in range(1, a + 1)]
         right = [f"x{i}" for i in range(a + 1, a + b + 1)]
         edges = [(u, v) for u in left for v in right]
-        return build_graph(left + right, edges, parts=(left, right))
+        return Graph(left + right, edges, parts=(left, right))
+    if kind == "edgeless":
+        need(1)
+        return Graph([f"x{i}" for i in range(1, params[0] + 1)], [])
     if kind == "star":
         need(1)
         return _coned_family(params[0], [])
@@ -190,20 +182,24 @@ def attach(g: Graph, hs: Sequence[Graph]) -> Graph:
     The i-th host vertex becomes adjacent to every vertex of H_i.  New
     vertices are labelled ``z<i>_<j>`` and all of them precede the base
     vertices in the priority; the base keeps its own labels and order.
+    When a base label already has that form (g itself attached), the
+    prefix grows by one ``z`` at a time until no new label collides.
     """
     if len(hs) != g.n_vertices:
         raise ValueError("attach needs one graph per vertex of the base")
     base_labels = set(g.labels)
+    prefix = "z"
+    while any(
+        f"{prefix}{i}_{j}" in base_labels
+        for i, h in enumerate(hs, start=1)
+        for j in range(1, h.n_vertices + 1)
+    ):
+        prefix += "z"
     labels: list[str] = []
     edges: list[tuple[str, str]] = []
     for i, h in enumerate(hs, start=1):
-        relabel = {}
-        for j, old in enumerate(h.labels, start=1):
-            lbl = f"z{i}_{j}"
-            if lbl in base_labels:
-                raise ValueError(f"generated label {lbl!r} collides with the base")
-            relabel[old] = lbl
-            labels.append(lbl)
+        relabel = {old: f"{prefix}{i}_{j}" for j, old in enumerate(h.labels, start=1)}
+        labels.extend(relabel.values())
         for a, b in h.edges:
             edges.append((relabel[a], relabel[b]))
         host = g.labels[i - 1]
@@ -267,17 +263,13 @@ def cm_bipartite_from_poset(p: Poset) -> Graph:
         for f in p.elements
         if p.leq(e, f)
     ]
-    return build_graph(a_labels + b_labels, edges, parts=(a_labels, b_labels))
-
-
-def _edgeless(n: int) -> Graph:
-    return build_graph([f"v{j}" for j in range(1, n + 1)], [])
+    return Graph(a_labels + b_labels, edges, parts=(a_labels, b_labels))
 
 
 def _disjoint_edges(n: int) -> Graph:
     labels = [f"v{j}" for j in range(1, 2 * n + 1)]
     edges = [(labels[2 * i], labels[2 * i + 1]) for i in range(n)]
-    return build_graph(labels, edges)
+    return Graph(labels, edges)
 
 
 def cameron_walker(
@@ -308,7 +300,7 @@ def cameron_walker(
     hs = []
     for lbl in bipartite.labels:
         if lbl in x_part:
-            hs.append(_edgeless(count_for(leaves_per_x, lbl)))
+            hs.append(standard_family("edgeless", count_for(leaves_per_x, lbl)))
         else:
             hs.append(_disjoint_edges(count_for(triangles_per_y, lbl)))
     return attach(bipartite, hs)
@@ -316,13 +308,6 @@ def cameron_walker(
 
 # ---------------------------------------------------------------------------
 # Covers and structural predicates
-
-
-@dataclass(frozen=True)
-class VertexCover:
-    """A vertex cover as a frozen label set."""
-
-    members: frozenset
 
 
 def maximal_independent_sets(g: Graph) -> list[frozenset]:
@@ -347,17 +332,18 @@ def maximal_independent_sets(g: Graph) -> list[frozenset]:
     return out
 
 
-def minimal_vertex_covers(g: Graph) -> list[VertexCover]:
-    """Minimal covers (complements of maximal independent sets), sorted so
-    the cover monomials come lex-descending under the vertex priority."""
-    all_labels = set(g.labels)
-    covers = [VertexCover(frozenset(all_labels - s)) for s in maximal_independent_sets(g)]
-    membership = lambda c: tuple(1 if v in c.members else 0 for v in g.labels)
+def minimal_vertex_covers(g: Graph) -> list[frozenset]:
+    """Minimal covers as label sets (complements of maximal independent
+    sets), sorted so the cover monomials come lex-descending under the
+    vertex priority."""
+    all_labels = frozenset(g.labels)
+    covers = [all_labels - s for s in maximal_independent_sets(g)]
+    membership = lambda c: tuple(1 if v in c else 0 for v in g.labels)
     return sorted(covers, key=membership, reverse=True)
 
 
 def is_unmixed(g: Graph) -> bool:
-    sizes = {len(c.members) for c in minimal_vertex_covers(g)}
+    sizes = {len(c) for c in minimal_vertex_covers(g)}
     return len(sizes) <= 1
 
 
@@ -448,7 +434,7 @@ def graph_from_json(text: str) -> Graph:
         ):
             raise ValueError("'parts' must map X and Y to label lists")
         parts = (p["X"], p["Y"])
-    return build_graph(vertices, [tuple(e) for e in edges], parts)
+    return Graph(vertices, [tuple(e) for e in edges], parts)
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +459,6 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
-_ATOM_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "complete_bipartite": 2,
-    "star": 1,
-    "friendship": 1,
-    "fan": 1,
-    "edgeless": 1,
-}
-
-
 def _parse_atom(text: str) -> Graph:
     name, _, raw = text.partition(":")
     name = name.strip()
@@ -494,18 +468,10 @@ def _parse_atom(text: str) -> Graph:
         return standard_family("path", 1)
     if name == "empty":
         return Graph([], [])
-    if name not in _ATOM_ARITY:
-        raise ValueError(f"unknown construction {text!r}")
     try:
         params = [int(p) for p in raw.split(",")] if raw.strip() else []
     except ValueError:
         raise ValueError(f"bad parameters in {text!r}") from None
-    if len(params) != _ATOM_ARITY[name]:
-        raise ValueError(f"{name} expects {_ATOM_ARITY[name]} parameter(s)")
-    if name == "edgeless":
-        if params[0] < 1:
-            raise ValueError("edgeless expects a positive parameter")
-        return build_graph([f"x{i}" for i in range(1, params[0] + 1)], [])
     return standard_family(name, *params)
 
 

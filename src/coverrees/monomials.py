@@ -26,7 +26,6 @@ __all__ = [
     "Monomial",
     "MonomialIdeal",
     "colon",
-    "minimalize",
     "cover_ideal",
     "power",
     "component",
@@ -327,31 +326,28 @@ class _LeadIndex:
             candidates ^= low
 
 
-def _minimal(universe: VariableUniverse, gens: set[Monomial]) -> list[Monomial]:
-    """The minimal elements of a set of monomials, ascending by degree; a
-    proper divisor has lower degree, so the scan meets it first."""
-    if any(g.universe != universe for g in gens):
-        raise ValueError("generator outside the declared universe")
-    index = _LeadIndex(len(universe.all_vars))
-    for g in sorted(gens, key=lambda m: (m.total_degree, m.exponents)):
-        if index.first_divisor(g.exponents) is None:
-            index.add((g.exponents, g))
-    return [entry[1] for entry in index.entries]
-
-
 class MonomialIdeal:
     """A monomial ideal held as its unique minimal generating set, sorted
-    descending under the canonical key so equal ideals compare equal."""
+    descending under the canonical key so equal ideals compare equal.
+
+    Any generating set may be given: the minimal elements are kept by one
+    scan in ascending degree through a divisor index, since a proper
+    divisor has lower degree and is met first.
+    """
 
     __slots__ = ("universe", "gens")
 
     def __init__(self, universe: VariableUniverse, gens: Iterable[Monomial]):
         gens = set(gens)
-        redundant = gens.difference(_minimal(universe, gens))
-        if redundant:
-            raise ValueError(f"generating set is not minimal: {min(redundant, key=str)}")
+        if any(g.universe != universe for g in gens):
+            raise ValueError("generator outside the declared universe")
+        index = _LeadIndex(len(universe.all_vars))
+        for g in sorted(gens, key=lambda m: (m.total_degree, m.exponents)):
+            if index.first_divisor(g.exponents) is None:
+                index.add((g.exponents, g))
         self.universe = universe
-        self.gens = tuple(sorted(gens, key=canonical_key, reverse=True))
+        kept = (entry[1] for entry in index.entries)
+        self.gens = tuple(sorted(kept, key=canonical_key, reverse=True))
 
     @property
     def is_zero(self) -> bool:
@@ -388,25 +384,16 @@ class MonomialIdeal:
         return f"MonomialIdeal({inner})"
 
 
-def minimalize(gens: Iterable[Monomial], universe: VariableUniverse | None = None) -> MonomialIdeal:
-    """Drop duplicates and divisible generators; keep the minimal set."""
-    pool = list(gens)
-    if universe is None:
-        if not pool:
-            raise ValueError("universe required for an empty generating set")
-        universe = pool[0].universe
-    return MonomialIdeal(universe, _minimal(universe, set(pool)))
-
-
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """I^k via k-fold products of generators, then minimalization."""
+    """I^k via k-fold products of generators, of which the constructor keeps
+    the minimal ones."""
     if k < 1:
         raise ValueError("power expects k >= 1")
     prods = {
         product(ideal.universe, combo)
         for combo in combinations_with_replacement(ideal.gens, k)
     }
-    return minimalize(prods, ideal.universe)
+    return MonomialIdeal(ideal.universe, prods)
 
 
 def monomials_of_degree(
@@ -448,8 +435,5 @@ def cover_ideal(graph) -> MonomialIdeal:
     from .graphs import minimal_vertex_covers
 
     universe = VariableUniverse(s_vars=graph.labels)
-    gens = [
-        Monomial(universe, {v: 1 for v in cov.members})
-        for cov in minimal_vertex_covers(graph)
-    ]
-    return minimalize(gens, universe)
+    covers = minimal_vertex_covers(graph)
+    return MonomialIdeal(universe, (Monomial(universe, dict.fromkeys(c, 1)) for c in covers))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binomial_gb import DEGREE_CAP, GroebnerBasis, initial_ideal, toric_kernel
+from .binomial_gb import DEGREE_CAP, GroebnerBasis, toric_kernel
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -100,7 +100,7 @@ class XConditionReport:
 
 def x_condition(p: ReesPresentation) -> XConditionReport:
     """Check base degree <= 1 and total degree = 2 on the initial ideal."""
-    in_gens = initial_ideal(p.basis).gens
+    in_gens = p.basis.initial_ideal.gens
     offenders = tuple(m for m in in_gens if m.s_degree > 1)
     quad_offenders = tuple(m for m in in_gens if m.total_degree != 2)
     return XConditionReport(
@@ -135,7 +135,7 @@ def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:
     """
     if k < 1:
         raise ValueError("standard_monomials expects k >= 1")
-    in_gens = initial_ideal(p.basis).gens
+    in_gens = p.basis.initial_ideal.gens
     index = _LeadIndex(len(p.universe.all_vars), [(m.exponents,) for m in in_gens])
     members = [
         m

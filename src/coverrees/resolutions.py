@@ -174,11 +174,12 @@ def _int_rank(rows: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 # Upper Koszul complexes and Betti tables
 
-BETTI_MAX_GENERATORS, MAX_MULTIDEGREES = 18, 4096  # default Betti-table bounds
+BETTI_MAX_GENERATORS, MAX_MULTIDEGREES = 18, 4096  # Betti-table bounds
 
 
-def lcm_lattice(ideal: MonomialIdeal, max_multidegrees: int = MAX_MULTIDEGREES) -> list[Monomial]:
-    """All lcms of nonempty generator subsets (closure under pairwise lcm)."""
+def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
+    """All lcms of nonempty generator subsets (closure under pairwise lcm);
+    more than ``MAX_MULTIDEGREES`` of them raise."""
     if ideal.is_zero:
         return []
     current = set(ideal.gens)
@@ -190,9 +191,9 @@ def lcm_lattice(ideal: MonomialIdeal, max_multidegrees: int = MAX_MULTIDEGREES) 
                 l = m.lcm(g)
                 if l not in current:
                     current.add(l)
-                    if len(current) > max_multidegrees:
+                    if len(current) > MAX_MULTIDEGREES:
                         raise LatticeLimitExceeded(
-                            f"lcm lattice exceeds {max_multidegrees} multidegrees"
+                            f"lcm lattice exceeds {MAX_MULTIDEGREES} multidegrees"
                         )
                     fresh.append(l)
         frontier = fresh
@@ -286,7 +287,6 @@ class BettiTable:
 def betti_table(
     ideal: MonomialIdeal,
     max_generators: int = BETTI_MAX_GENERATORS,
-    max_multidegrees: int = MAX_MULTIDEGREES,
 ) -> BettiTable:
     """Exact multigraded Betti numbers via upper Koszul homology.
 
@@ -302,7 +302,7 @@ def betti_table(
         )
     entries: dict[tuple[int, int], int] = {}
     multigraded: dict[tuple[int, Monomial], int] = {}
-    for b in lcm_lattice(ideal, max_multidegrees):
+    for b in lcm_lattice(ideal):
         faces = upper_koszul_faces(ideal, b)
         if -1 not in faces:
             raise AssertionError("lattice multidegree must lie in the ideal")
@@ -320,12 +320,11 @@ def betti_table(
 def has_linear_resolution(
     ideal: MonomialIdeal,
     max_generators: int = BETTI_MAX_GENERATORS,
-    max_multidegrees: int = MAX_MULTIDEGREES,
 ) -> bool:
     """Equigenerated and componentwise linear (``ComponentwiseReport.linear_resolution``)."""
     if not ideal.is_zero and not ideal.is_equigenerated():
         return False
-    return is_componentwise_linear(ideal, max_generators, max_multidegrees).linear_resolution
+    return is_componentwise_linear(ideal, max_generators).linear_resolution
 
 
 @dataclass
@@ -352,7 +351,6 @@ class ComponentwiseReport:
 def is_componentwise_linear(
     ideal: MonomialIdeal,
     max_generators: int = BETTI_MAX_GENERATORS,
-    max_multidegrees: int = MAX_MULTIDEGREES,
 ) -> ComponentwiseReport:
     """reg(I_<=j) <= j at each generator degree j, I_<=j generated by the
     generators of degree at most j (Eisenbud-Goto; Herzog-Hibi, Nagoya
@@ -362,6 +360,6 @@ def is_componentwise_linear(
     for j in range(min(degrees, default=0), max(degrees, default=-1) + 1):
         if j in degrees:
             gens = [g for g in ideal.gens if g.total_degree <= j]
-            table = betti_table(MonomialIdeal(ideal.universe, gens), max_generators, max_multidegrees)
+            table = betti_table(MonomialIdeal(ideal.universe, gens), max_generators)
         by_degree[j] = table.regularity() <= j
     return ComponentwiseReport(all(by_degree.values()), by_degree)

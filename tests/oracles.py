@@ -192,15 +192,15 @@ def componentwise_by_degree(ideal):
     For every d from the lowest to the highest generator degree, builds the
     component I_<d> (every degree-d monomial of the ideal) and asks whether
     each nonzero beta_{i,j} of it sits at j = i + d; {} for the zero ideal.
-    The Betti numbers come from ``betti_table`` with its bounds lifted, so
-    this checks the reduction to generator truncations, not the Koszul
-    homology.
+    The Betti numbers come from ``betti_table`` with its generator bound
+    lifted, so this checks the reduction to generator truncations, not the
+    Koszul homology; a lattice past ``MAX_MULTIDEGREES`` still raises.
     """
     if ideal.is_zero:
         return {}
     verdicts = {}
     for d in range(ideal.min_degree(), ideal.max_degree() + 1):
-        table = betti_table(component(ideal, d), 10**6, 10**6)
+        table = betti_table(component(ideal, d), 10**6)
         verdicts[d] = all(j == i + d for i, j in table.entries)
     return verdicts
 
@@ -242,7 +242,7 @@ def random_universe(rng, max_s=5, max_y=3, with_t=False):
 
 def random_graph(rng, max_vertices=9, edge_probability=0.45):
     """Random labelled graph, possibly disconnected, possibly edgeless."""
-    from coverrees import build_graph
+    from coverrees import Graph
 
     n = rng.randint(1, max_vertices)
     labels = [f"x{i}" for i in range(1, n + 1)]
@@ -251,4 +251,4 @@ def random_graph(rng, max_vertices=9, edge_probability=0.45):
         for j in range(i + 1, n):
             if rng.random() < edge_probability:
                 edges.append((labels[i], labels[j]))
-    return build_graph(labels, edges)
+    return Graph(labels, edges)

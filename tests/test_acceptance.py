@@ -19,11 +19,12 @@ from oracles import (
 )
 
 from coverrees import (
+    Graph,
+    MonomialIdeal,
     VariableUniverse,
     attach,
     betti_table,
     buchberger,
-    build_graph,
     cameron_walker,
     canonical_key,
     check_linear_quotients,
@@ -36,7 +37,6 @@ from coverrees import (
     is_unmixed,
     lcm_lattice,
     minimal_generation_check,
-    minimalize,
     parse_construction,
     pi_image,
     power,
@@ -74,7 +74,7 @@ _PRESENTATIONS = {}
 def _graph(name):
     if name not in _GRAPHS:
         if name == "cw":
-            core = build_graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
+            core = Graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
             _GRAPHS[name] = cameron_walker(core, 1, 1)
         elif name == "attach":
             edge = parse_construction("edge")
@@ -179,7 +179,7 @@ def test_criterion_4_star_certification_depends_on_priority():
         assert p.basis.dump() == "x1*y1 - z1*z2*z3*y2"
         rep = x_condition(p)
         assert rep.holds and rep.quadratic
-        center_first = build_graph(
+        center_first = Graph(
             ["x1", "z1", "z2", "z3"],
             [("x1", "z1"), ("x1", "z2"), ("x1", "z3")],
         )
@@ -216,7 +216,7 @@ def test_criterion_6_cameron_walker_consequences():
     with criterion(6, "Cameron-Walker graph: unmixed, linear resolutions of both powers", 120.0):
         g = _graph("cw")
         assert is_unmixed(g)
-        core = build_graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
+        core = Graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
         assert not is_unmixed(cameron_walker(core, 1, 2))
         p = _presentation("cw")
         rep = x_condition(p)
@@ -346,7 +346,7 @@ def test_criterion_8_engine_self_checks():
                 m = random_monomial(rng, base, max_degree=4)
                 if not m.is_one:
                     gens.append(m)
-            ideal = minimalize(gens, base)
+            ideal = MonomialIdeal(base, gens)
             found = find_linear_quotients_order(ideal.gens)
             expected = exhaustive_linear_quotients(list(ideal.gens))
             assert (found is None) == (expected is None)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from coverrees import build_graph, cameron_walker, graph_to_json
+from coverrees import Graph, cameron_walker, graph_to_json
 from coverrees.cli import main
 import coverrees.cli as cli_module
 
@@ -31,7 +31,7 @@ def test_covers_json(tmp_path, capsys):
 
 
 def test_covers_from_json_file(tmp_path, capsys):
-    core = build_graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
+    core = Graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
     g = cameron_walker(core, 1, 1)
     path = tmp_path / "cw.json"
     path.write_text(graph_to_json(g))
@@ -256,6 +256,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "covers", "cycle:2")[0] == 2
     assert run(capsys, "covers", "missing_file.json")[0] == 2
     assert run(capsys, "construct", "attach(edge)")[0] == 2
+    for bad in ("path:1,2", "edgeless", "star:0"):
+        assert run(capsys, "construct", bad)[0] == 2
     for name, doc in [
         ("nested_edge.json", {"vertices": ["a", "b"], "edges": [[["a"], "b"]]}),
         (

@@ -9,7 +9,6 @@ from coverrees import (
     Graph,
     Poset,
     attach,
-    build_graph,
     cameron_walker,
     cm_bipartite_from_poset,
     cone,
@@ -34,7 +33,7 @@ from oracles import (
 
 
 def test_build_graph_basics():
-    g = build_graph(["a", "b", "c"], [("b", "a"), ("b", "c")])
+    g = Graph(["a", "b", "c"], [("b", "a"), ("b", "c")])
     assert g.labels == ("a", "b", "c")
     # edges are canonicalized by vertex priority, not input order
     assert g.edges == (("a", "b"), ("b", "c"))
@@ -47,20 +46,20 @@ def test_build_graph_basics():
 
 def test_build_graph_rejects_bad_input():
     with pytest.raises(ValueError):
-        build_graph(["a", "a"], [])
+        Graph(["a", "a"], [])
     with pytest.raises(ValueError):
-        build_graph(["a", "b"], [("a", "c")])
+        Graph(["a", "b"], [("a", "c")])
     with pytest.raises(ValueError):
-        build_graph(["a"], [("a", "a")])
+        Graph(["a"], [("a", "a")])
     # parts must partition the labels and edges must cross between them
     with pytest.raises(ValueError):
-        build_graph(["a", "b"], [("a", "b")], parts=(["a"], ["a", "b"]))
+        Graph(["a", "b"], [("a", "b")], parts=(["a"], ["a", "b"]))
     with pytest.raises(ValueError):
-        build_graph(["a", "b", "c"], [("a", "b")], parts=(["a", "b"], ["c"]))
+        Graph(["a", "b", "c"], [("a", "b")], parts=(["a", "b"], ["c"]))
 
 
 def test_duplicate_edges_collapse():
-    g = build_graph(["a", "b"], [("a", "b"), ("b", "a"), ("a", "b")])
+    g = Graph(["a", "b"], [("a", "b"), ("b", "a"), ("a", "b")])
     assert g.edges == (("a", "b"),)
 
 
@@ -139,19 +138,33 @@ def test_attach_basics():
     assert tri.n_edges == 3
 
 
-def test_attach_rejects_mismatch_and_collisions():
+def test_attach_rejects_mismatch_and_relabels_collisions():
     edge = standard_family("path", 2)
     with pytest.raises(ValueError):
         attach(edge, [edge])
-    bad_base = build_graph(["z1_1", "q"], [("z1_1", "q")])
-    with pytest.raises(ValueError):
-        attach(bad_base, [edge, edge])
+    # a base label of the generated form moves the new labels to zz<i>_<j>
+    taken = Graph(["z1_1", "q"], [("z1_1", "q")])
+    g = attach(taken, [edge, edge])
+    assert g.labels == ("zz1_1", "zz1_2", "zz2_1", "zz2_2", "z1_1", "q")
+    assert g.has_edge("zz1_1", "z1_1") and g.has_edge("zz2_2", "q")
+
+
+def test_nested_attach_constructs():
+    # the paper's construction applied twice: the outer pieces take zz labels
+    g = parse_construction("attach(attach(edge;vertex,vertex);vertex,vertex,vertex,vertex)")
+    inner = parse_construction("attach(edge;vertex,vertex)")
+    assert g.labels == ("zz1_1", "zz2_1", "zz3_1", "zz4_1") + inner.labels
+    for host, new in zip(inner.labels, g.labels):
+        assert g.neighbors(new) == {host}
+    covers = minimal_vertex_covers(g)
+    assert len(covers) == len(brute_minimal_covers(g))
+    assert set(covers) == brute_minimal_covers(g)
 
 
 def test_attach_allows_edgeless_and_empty_pieces():
     base = standard_family("path", 2)
     empty = Graph([], [])
-    edgeless = build_graph(["v1", "v2"], [])
+    edgeless = Graph(["v1", "v2"], [])
     g = attach(base, [empty, edgeless])
     assert g.labels == ("z2_1", "z2_2", "x1", "x2")
     assert g.n_edges == 3  # two host edges plus the base edge
@@ -183,7 +196,7 @@ def test_cm_bipartite_from_poset():
 
 
 def test_cameron_walker_one_leaf_one_triangle():
-    core = build_graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
+    core = Graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
     g = cameron_walker(core, 1, 1)
     # one leaf adds one vertex, one pendant triangle adds two
     assert g.labels == ("z1_1", "z2_1", "z2_2", "x1", "x2")
@@ -198,7 +211,7 @@ def test_cameron_walker_one_leaf_one_triangle():
 
 
 def test_cameron_walker_counts_and_mappings():
-    core = build_graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
+    core = Graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
     g = cameron_walker(core, 2, 1)
     assert g.n_vertices == 6 and g.n_edges == 6
     assert not g.has_edge("z1_1", "z1_2")
@@ -210,13 +223,13 @@ def test_cameron_walker_counts_and_mappings():
 
 
 def test_cameron_walker_rejects_bad_input():
-    plain = build_graph(["x1", "x2"], [("x1", "x2")])
+    plain = Graph(["x1", "x2"], [("x1", "x2")])
     with pytest.raises(ValueError):
         cameron_walker(plain)  # no declared parts
-    core = build_graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
+    core = Graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
     with pytest.raises(ValueError):
         cameron_walker(core, 0, 1)
-    disconnected = build_graph(
+    disconnected = Graph(
         ["a1", "a2", "b1", "b2"],
         [("a1", "b1"), ("a2", "b2")],
         parts=(["a1", "a2"], ["b1", "b2"]),
@@ -227,19 +240,19 @@ def test_cameron_walker_rejects_bad_input():
 
 def test_minimal_covers_small_graphs():
     edge = standard_family("path", 2)
-    assert [set(c.members) for c in minimal_vertex_covers(edge)] == [{"x1"}, {"x2"}]
+    assert minimal_vertex_covers(edge) == [{"x1"}, {"x2"}]
 
     p3 = standard_family("path", 3)
-    assert [set(c.members) for c in minimal_vertex_covers(p3)] == [{"x1", "x3"}, {"x2"}]
+    assert minimal_vertex_covers(p3) == [{"x1", "x3"}, {"x2"}]
 
     c4 = standard_family("cycle", 4)
-    assert [set(c.members) for c in minimal_vertex_covers(c4)] == [
+    assert minimal_vertex_covers(c4) == [
         {"x1", "x3"},
         {"x2", "x4"},
     ]
 
     star = standard_family("star", 3)
-    assert [set(c.members) for c in minimal_vertex_covers(star)] == [
+    assert minimal_vertex_covers(star) == [
         {"z1", "z2", "z3"},
         {"x1"},
     ]
@@ -248,11 +261,11 @@ def test_minimal_covers_small_graphs():
 def test_minimal_covers_edge_cases():
     lonely = standard_family("path", 1)
     covers = minimal_vertex_covers(lonely)
-    assert len(covers) == 1 and covers[0].members == frozenset()
+    assert len(covers) == 1 and covers[0] == frozenset()
 
-    edgeless = build_graph(["x1", "x2"], [])
+    edgeless = Graph(["x1", "x2"], [])
     covers = minimal_vertex_covers(edgeless)
-    assert len(covers) == 1 and covers[0].members == frozenset()
+    assert len(covers) == 1 and covers[0] == frozenset()
 
 
 def test_vertex_cover_predicates():
@@ -268,10 +281,10 @@ def test_minimal_covers_match_brute_force():
     for _ in range(40):
         g = random_graph(rng, max_vertices=8)
         got = minimal_vertex_covers(g)
-        assert {c.members for c in got} == brute_minimal_covers(g)
-        assert all(is_minimal_cover(c.members, g) for c in got)
+        assert set(got) == brute_minimal_covers(g)
+        assert all(is_minimal_cover(c, g) for c in got)
         # the list is sorted so membership tuples strictly decrease
-        keys = [tuple(1 if v in c.members else 0 for v in g.labels) for c in got]
+        keys = [tuple(1 if v in c else 0 for v in g.labels) for c in got]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
 
@@ -284,7 +297,7 @@ def test_maximal_independent_sets_match_brute_force():
         assert got == brute_maximal_independent_sets(g)
         # duality: covers are exactly the complements
         labels = set(g.labels)
-        covers = {c.members for c in minimal_vertex_covers(g)}
+        covers = set(minimal_vertex_covers(g))
         assert covers == {frozenset(labels - s) for s in got}
 
 
@@ -294,11 +307,11 @@ def test_is_unmixed():
     assert not is_unmixed(standard_family("path", 3))
     assert not is_unmixed(standard_family("star", 3))
 
-    core = build_graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
+    core = Graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
     assert is_unmixed(cameron_walker(core, 1, 1))
     # two pendant triangles on one vertex produce covers of different sizes
     mixed = cameron_walker(core, 1, 2)
-    sizes = {len(c.members) for c in minimal_vertex_covers(mixed)}
+    sizes = {len(c) for c in minimal_vertex_covers(mixed)}
     assert sizes == {4, 5}
     assert not is_unmixed(mixed)
 
@@ -312,7 +325,7 @@ def test_is_chordal():
     assert not is_chordal(standard_family("cycle", 5))
     assert is_chordal(standard_family("cycle", 3))
     # chordality is checked per component as well
-    two_squares = build_graph(
+    two_squares = Graph(
         ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
     )
     assert not is_chordal(two_squares)
@@ -320,9 +333,9 @@ def test_is_chordal():
 
 def test_is_connected():
     assert is_connected(standard_family("path", 4))
-    assert not is_connected(build_graph(["a", "b"], []))
+    assert not is_connected(Graph(["a", "b"], []))
     assert is_connected(Graph([], []))
-    assert is_connected(build_graph(["a"], []))
+    assert is_connected(Graph(["a"], []))
 
 
 def test_graph_json_roundtrip():
@@ -386,7 +399,7 @@ def test_parse_construction_notes_flag_edgeless_pieces():
 def test_parse_construction_json_loader(tmp_path):
     # a .json source inside a compound is read from its path
     path = tmp_path / "g.json"
-    path.write_text(graph_to_json(build_graph(["a", "b"], [("a", "b")])))
+    path.write_text(graph_to_json(Graph(["a", "b"], [("a", "b")])))
     g = parse_construction(f"cone({path})")
     assert g.labels == ("a", "b", "x1")
     assert g.edges == (("a", "b"), ("a", "x1"), ("b", "x1"))

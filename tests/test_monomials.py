@@ -14,7 +14,6 @@ from coverrees import (
     colon,
     component,
     cover_ideal,
-    minimalize,
     monomials_of_degree,
     oriented_binomial,
     parse_monomial,
@@ -273,8 +272,10 @@ def test_monomial_ideal_construction():
     assert not ideal.contains(u.one())
     assert ideal.min_degree() == 1 and ideal.max_degree() == 2
     assert not ideal.is_equigenerated()
-    with pytest.raises(ValueError):
-        MonomialIdeal(u, [parse_monomial("x2", u), parse_monomial("x1*x2", u)])
+    # a generating set that is not minimal keeps only its minimal elements
+    assert MonomialIdeal(u, [parse_monomial("x2", u), parse_monomial("x1*x2", u)]) == MonomialIdeal(
+        u, [parse_monomial("x2", u)]
+    )
 
 
 def test_monomial_ideal_zero_and_unit():
@@ -301,13 +302,11 @@ def test_monomial_ideal_equality_is_canonical():
 def test_minimalize():
     u = VariableUniverse(("x1", "x2", "x3"))
     raw = [parse_monomial(s, u) for s in ("x1*x2", "x1", "x1^2", "x2*x3", "x1")]
-    ideal = minimalize(raw)
-    assert {str(g) for g in ideal.gens} == {"x1", "x2*x3"}
+    ideal = MonomialIdeal(u, raw)
+    assert [str(g) for g in ideal.gens] == ["x1", "x2*x3"]
     already = [parse_monomial(s, u) for s in ("x2^2", "x1*x2*x3", "x1^2*x3^2")]
-    assert set(minimalize(already).gens) == set(already)
-    assert minimalize([], u).is_zero
-    with pytest.raises(ValueError):
-        minimalize([])
+    assert set(MonomialIdeal(u, already).gens) == set(already)
+    assert MonomialIdeal(u, []).is_zero
 
 
 def test_indexed_minimality_matches_brute_force():
@@ -338,12 +337,7 @@ def test_indexed_minimality_matches_brute_force():
             if not any(h != g and divides_exponents(h.exps, g.exps) for h in distinct)
         }
         wide += len(brute) > 64
-        assert set(minimalize(gens, u).gens) == brute
-        if brute == distinct:
-            assert set(MonomialIdeal(u, gens).gens) == distinct
-        else:
-            with pytest.raises(ValueError):
-                MonomialIdeal(u, gens)
+        assert set(MonomialIdeal(u, gens).gens) == brute
     assert wide >= 10
 
 
@@ -375,7 +369,7 @@ def test_power_membership_is_sound():
         gens = {g for g in gens if not g.is_one}
         if not gens:
             continue
-        ideal = minimalize(gens, u)
+        ideal = MonomialIdeal(u, gens)
         k = rng.randint(1, 3)
         kth = power(ideal, k)
         for combo in combinations_with_replacement(ideal.gens, k):
@@ -427,17 +421,17 @@ def test_cover_ideal_small_graphs():
 
 
 def test_cover_ideal_edgeless_is_unit():
-    from coverrees import build_graph
+    from coverrees import Graph
 
-    g = build_graph(["x1", "x2"], [])
+    g = Graph(["x1", "x2"], [])
     ideal = cover_ideal(g)
     assert ideal.is_unit
 
 
 def test_cover_ideal_generators_form_antichain():
     # minimal covers are incomparable sets, so no squarefree generator divides
-    # another; the constructor would raise otherwise
-    from oracles import random_graph
+    # another and the constructor keeps one generator per cover
+    from oracles import brute_minimal_covers, random_graph
 
     rng = random.Random(616)
     for _ in range(25):
@@ -445,4 +439,5 @@ def test_cover_ideal_generators_form_antichain():
         ideal = cover_ideal(g)
         assert all(set(m.exps.values()) <= {1} for m in ideal.gens)
         covers = [frozenset(m.exps) for m in ideal.gens]
+        assert set(covers) == brute_minimal_covers(g)
         assert len(set(covers)) == len(covers)

@@ -6,10 +6,10 @@ import pytest
 
 from coverrees import (
     DegreeCapExceeded,
+    Graph,
     MonomialIdeal,
     VariableUniverse,
     attach,
-    build_graph,
     cameron_walker,
     canonical_key,
     cover_ideal,
@@ -55,10 +55,10 @@ def test_presentation_rejects_bad_ideals():
 
 
 def test_presentation_rejects_label_collisions():
-    g = build_graph(["y1", "x2"], [("y1", "x2")])
+    g = Graph(["y1", "x2"], [("y1", "x2")])
     with pytest.raises(ValueError):
         rees_presentation(cover_ideal(g))
-    h = build_graph(["t", "x2"], [("t", "x2")])
+    h = Graph(["t", "x2"], [("t", "x2")])
     with pytest.raises(ValueError):
         rees_presentation(cover_ideal(h))
 
@@ -69,7 +69,7 @@ def test_presentation_respects_config():
 
 
 def test_degenerate_unit_ideal():
-    g = build_graph(["x1", "x2"], [])
+    g = Graph(["x1", "x2"], [])
     p = rees_presentation(cover_ideal(g))
     assert p.degenerate
     assert [str(m) for m in p.generators] == ["1"]
@@ -124,7 +124,7 @@ def test_x_condition_is_order_sensitive_for_star():
     assert x_condition(p).holds
 
     # the same graph with the center first does not
-    center_first = build_graph(
+    center_first = Graph(
         ["x1", "z1", "z2", "z3"], [("x1", "z1"), ("x1", "z2"), ("x1", "z3")]
     )
     q = _present(center_first)
@@ -235,7 +235,7 @@ def test_generation_can_hold_without_the_x_condition():
 
 
 def test_standard_monomials_on_cameron_walker_graph():
-    core = build_graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
+    core = Graph(["x1", "x2"], [("x1", "x2")], parts=(["x1"], ["x2"]))
     p = _present(cameron_walker(core, 1, 1))
     rep = x_condition(p)
     assert rep.holds and rep.quadratic

@@ -18,7 +18,6 @@ from coverrees import (
     has_linear_resolution,
     is_componentwise_linear,
     lcm_lattice,
-    minimalize,
     parse_construction,
     parse_monomial,
     power,
@@ -36,6 +35,7 @@ from oracles import (
     random_monomial,
 )
 
+from coverrees import resolutions
 from coverrees.resolutions import _int_rank
 
 
@@ -159,7 +159,7 @@ def test_find_order_agrees_with_exhaustive_search():
         gens = {g for g in gens if not g.is_one}
         if not gens:
             continue
-        ideal = minimalize(gens, U3)
+        ideal = MonomialIdeal(U3, gens)
         cert = find_linear_quotients_order(ideal.gens)
         oracle = exhaustive_linear_quotients(list(ideal.gens))
         assert (cert is None) == (oracle is None)
@@ -183,12 +183,13 @@ def test_int_rank_matches_fraction_elimination():
     assert _int_rank([[2, 4], [1, 2]]) == 1
 
 
-def test_lcm_lattice_of_triangle_cover():
+def test_lcm_lattice_of_triangle_cover(monkeypatch):
     tri = _ideal(U3, "x1*x2", "x1*x3", "x2*x3")
     lattice = [str(m) for m in lcm_lattice(tri)]
     assert lattice == ["x2*x3", "x1*x3", "x1*x2", "x1*x2*x3"]
+    monkeypatch.setattr(resolutions, "MAX_MULTIDEGREES", 2)
     with pytest.raises(LatticeLimitExceeded):
-        lcm_lattice(tri, max_multidegrees=2)
+        lcm_lattice(tri)
     assert lcm_lattice(MonomialIdeal(U3, [])) == []
 
 
