@@ -2,9 +2,11 @@
 Betti tables, linear resolutions and a Cameron-Walker ending
 ============================================================
 
-Multigraded Betti numbers are computed exactly from upper Koszul complexes
-over the lcm lattice.  The demo closes with a Cameron-Walker graph whose
-cover ideal and its square both resolve linearly.
+Multigraded Betti numbers are computed exactly: from the mapping cone when
+the generators have linear quotients in nondecreasing degree (the
+triangle), otherwise from upper Koszul complexes over the lcm lattice (the
+four-cycle).  The demo closes with a Cameron-Walker graph whose cover ideal
+and its square both resolve linearly.
 """
 
 from coverrees import (

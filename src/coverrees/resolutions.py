@@ -1,26 +1,35 @@
 """Linear quotients, multigraded Betti numbers, componentwise linearity.
 
-Betti numbers of a monomial ideal are computed exactly: for every
-multidegree in the lcm lattice of the generators, the reduced homology
-of the upper Koszul simplicial complex is taken over the rationals, with
-ranks obtained by fraction-free integer elimination; linearity is read
-off the regularity (Eisenbud-Goto, J. Algebra 88, 1984: M_{>=r} has an
-r-linear resolution exactly when reg M <= r).  Linear quotients
-(Herzog-Takayama, 2002) are checked by one colon rule on support
-bitmasks and searched for with two heuristic orders followed by a
+Linear quotients (Herzog-Takayama, 2002) are checked by one colon rule on
+support bitmasks and searched for with two heuristic orders followed by a
 memoized backtracking search, which is exact; the order is the
-certificate.
+certificate, and it records the variables of each colon.  When the
+generators have linear quotients in an order of nondecreasing degree, the
+mapping cone is a minimal resolution: beta_{i,i+d} is the sum of
+C(r_j, i) over the generators u_j of degree d with r_j colon variables,
+the multigraded shifts are u_j * x_F for the subsets F of those
+variables, and every truncation is a prefix of the order, so the ideal is
+componentwise linear (Herzog-Takayama; Jahan-Zheng, JCTA 117, 2010).
+
+Otherwise Betti numbers are computed exactly: for every multidegree in
+the lcm lattice of the generators, the reduced homology of the upper
+Koszul simplicial complex is taken over the rationals, with ranks
+obtained by fraction-free integer elimination; linearity is read off the
+regularity (Eisenbud-Goto, J. Algebra 88, 1984: M_{>=r} has an r-linear
+resolution exactly when reg M <= r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
+from math import comb
 
 from .errors import GeneratorLimitExceeded, LatticeLimitExceeded
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    _monomial,
     canonical_key,
     component,  # unused; kept because bench/child.py traces resolutions.component
 )
@@ -49,11 +58,14 @@ class LinearQuotientsCertificate:
     colon ideal (u_1, ..., u_{j-1}) : u_j is generated by variables.
 
     The order is the certificate; ``check_linear_quotients`` re-checks it
-    with O(n^2) colons.  ``method`` names the rule that found it
+    with O(n^2) colons.  ``colon_variables[j]`` is the bitmask, over the
+    exponent positions, of the variables generating the colon at position
+    j, so r_j is its popcount.  ``method`` names the rule that found it
     ("ascending", "descending" or "search"), None from a direct check.
     """
 
     ordering: tuple[Monomial, ...]
+    colon_variables: tuple[int, ...]
     method: str | None = None
 
 
@@ -70,14 +82,15 @@ def _colon_masks(g: tuple[int, ...], u: tuple[int, ...]) -> tuple[int, int]:
     return support, support if degree == 1 else 0
 
 
-def _variable_generated(colons: list[tuple[int, int]]) -> bool:
+def _colon_variables(colons: list[tuple[int, int]]) -> int | None:
     """The colon rule: monomial colons, given by ``_colon_masks`` pairs,
     generate an ideal generated by variables exactly when every support
-    meets the union of the one-variable colons."""
+    meets the union of the one-variable colons.  Returns that union as a
+    bitmask (those variables generate the ideal), None when the rule fails."""
     variables = 0
     for _, linear in colons:
         variables |= linear
-    return all(support & variables for support, _ in colons)
+    return variables if all(support & variables for support, _ in colons) else None
 
 
 def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
@@ -87,10 +100,13 @@ def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
         raise ValueError("generators must be pairwise distinct")
     if len({g.universe for g in gens}) > 1:
         raise ValueError("generators live in different universes")
+    colon_variables = []
     for j, u in enumerate(gens):
-        if not _variable_generated([_colon_masks(g.exponents, u.exponents) for g in gens[:j]]):
+        variables = _colon_variables([_colon_masks(g.exponents, u.exponents) for g in gens[:j]])
+        if variables is None:
             return j + 1
-    return LinearQuotientsCertificate(gens)
+        colon_variables.append(variables)
+    return LinearQuotientsCertificate(gens, tuple(colon_variables))
 
 
 def find_linear_quotients_order(
@@ -126,7 +142,7 @@ def find_linear_quotients_order(
         if placed in dead:
             return None
         for cand in range(n):
-            if placed >> cand & 1 or not _variable_generated([masks[cand][l] for l in prefix]):
+            if placed >> cand & 1 or _colon_variables([masks[cand][l] for l in prefix]) is None:
                 continue
             found = dfs(prefix + [cand], placed | 1 << cand)
             if found is not None:
@@ -140,6 +156,19 @@ def find_linear_quotients_order(
     result = check_linear_quotients([pool[i] for i in found])
     assert isinstance(result, LinearQuotientsCertificate)
     return replace(result, method="search")
+
+
+def _degree_order_certificate(ideal: MonomialIdeal) -> LinearQuotientsCertificate | None:
+    """A linear-quotients order of the generators in nondecreasing degree:
+    the stable degree sort of the ascending order under the universe
+    priority, then of the descending one, each re-checked.  None when
+    neither has linear quotients (another order still might)."""
+    pool = sorted(ideal.gens, key=canonical_key)
+    for ordering in (pool, pool[::-1]):
+        result = check_linear_quotients(sorted(ordering, key=lambda m: m.total_degree))
+        if isinstance(result, LinearQuotientsCertificate):
+            return result
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +313,62 @@ class BettiTable:
         return f"BettiTable({self.entries})"
 
 
+def _mapping_cone_table(cert: LinearQuotientsCertificate) -> BettiTable:
+    """Betti numbers of the mapping-cone resolution of a linear-quotients
+    order in nondecreasing degree, which is minimal.
+
+    beta_{i,i+d} sums C(r_j, i) over the generators u_j of degree d; the
+    multigraded shifts u_j * x_F, F ranging over the subsets of the colon
+    variables of u_j, are counted with multiplicity.  They lie in the lcm
+    lattice, so more than ``MAX_MULTIDEGREES`` distinct shifts raise, as
+    the lattice would; the 2^{r_j} shifts of one generator are distinct,
+    so a single generator with more raises before they are enumerated.
+    """
+    entries: dict[tuple[int, int], int] = {}
+    multigraded: dict[tuple[int, Monomial], int] = {}
+    shifts: set[Monomial] = set()
+    for u, variables in zip(cert.ordering, cert.colon_variables):
+        r = variables.bit_count()
+        for i in range(r + 1):
+            key = (i, u.total_degree + i)
+            entries[key] = entries.get(key, 0) + comb(r, i)
+        if 1 << r > MAX_MULTIDEGREES:
+            raise LatticeLimitExceeded(
+                f"{1 << r} Betti shifts of one generator exceed {MAX_MULTIDEGREES} multidegrees"
+            )
+        subset = variables
+        while True:
+            i = subset.bit_count()
+            exponents = tuple(e + (subset >> p & 1) for p, e in enumerate(u.exponents))
+            b = _monomial(u.universe, exponents, u.total_degree + i)
+            key = (i, b)
+            multigraded[key] = multigraded.get(key, 0) + 1
+            shifts.add(b)
+            if not subset:
+                break
+            subset = (subset - 1) & variables
+        if len(shifts) > MAX_MULTIDEGREES:
+            raise LatticeLimitExceeded(f"Betti shifts exceed {MAX_MULTIDEGREES} multidegrees")
+    return BettiTable(entries, multigraded, len(cert.ordering))
+
+
 def betti_table(
     ideal: MonomialIdeal,
     max_generators: int = BETTI_MAX_GENERATORS,
 ) -> BettiTable:
+    """Exact multigraded Betti numbers.
+
+    From the mapping cone when ``_degree_order_certificate`` finds a
+    linear-quotients order; otherwise from upper Koszul homology, and only
+    then do ``max_generators`` and the lattice bound apply.
+    """
+    cert = _degree_order_certificate(ideal)
+    if cert is None:
+        return _koszul_betti_table(ideal, max_generators)
+    return _mapping_cone_table(cert)
+
+
+def _koszul_betti_table(ideal: MonomialIdeal, max_generators: int) -> BettiTable:
     """Exact multigraded Betti numbers via upper Koszul homology.
 
     Nonzero entries can only sit at lcm-lattice multidegrees, so only
@@ -354,7 +435,24 @@ def is_componentwise_linear(
 ) -> ComponentwiseReport:
     """reg(I_<=j) <= j at each generator degree j, I_<=j generated by the
     generators of degree at most j (Eisenbud-Goto; Herzog-Hibi, Nagoya
-    Math. J. 153, 1999); a degree without generators keeps the one below."""
+    Math. J. 153, 1999).
+
+    When ``_degree_order_certificate`` finds a linear-quotients order,
+    each I_<=j is generated by a prefix of it, which has linear quotients
+    in nondecreasing degree, so reg(I_<=j) <= j and no table is built.
+    Otherwise the truncations' Betti tables decide, and ``max_generators``
+    bounds their Koszul homology.
+    """
+    if _degree_order_certificate(ideal) is None:
+        return _componentwise_by_truncations(ideal, max_generators)
+    degrees = [g.total_degree for g in ideal.gens]
+    span = range(min(degrees, default=0), max(degrees, default=-1) + 1)
+    return ComponentwiseReport(True, dict.fromkeys(span, True))
+
+
+def _componentwise_by_truncations(ideal: MonomialIdeal, max_generators: int) -> ComponentwiseReport:
+    """The Betti table of I_<=j at each generator degree j; a degree without
+    generators keeps the verdict of the one below."""
     degrees = {g.total_degree for g in ideal.gens}
     by_degree = {}
     for j in range(min(degrees, default=0), max(degrees, default=-1) + 1):

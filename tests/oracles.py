@@ -193,8 +193,10 @@ def componentwise_by_degree(ideal):
     component I_<d> (every degree-d monomial of the ideal) and asks whether
     each nonzero beta_{i,j} of it sits at j = i + d; {} for the zero ideal.
     The Betti numbers come from ``betti_table`` with its generator bound
-    lifted, so this checks the reduction to generator truncations, not the
-    Koszul homology; a lattice past ``MAX_MULTIDEGREES`` still raises.
+    lifted (the mapping cone when the component has linear quotients in
+    degree order, Koszul homology otherwise), so this checks the reduction
+    to generator truncations, not the Betti numbers themselves; a lattice
+    past ``MAX_MULTIDEGREES`` still raises.
     """
     if ideal.is_zero:
         return {}

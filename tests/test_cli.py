@@ -4,9 +4,19 @@ import json
 
 import pytest
 
-from coverrees import Graph, cameron_walker, graph_to_json
+from coverrees import (
+    Graph,
+    cameron_walker,
+    cover_ideal,
+    find_linear_quotients_order,
+    graph_to_json,
+    parse_construction,
+    power,
+)
 from coverrees.cli import main
 import coverrees.cli as cli_module
+
+from oracles import herzog_takayama_betti, order_admits_linear_quotients
 
 
 def run(capsys, *argv):
@@ -251,6 +261,23 @@ def test_betti_of_power(tmp_path, capsys):
     assert {e["i"] for e in doc["multigraded"]} == {0, 1}
 
 
+def test_betti_past_the_koszul_bound(tmp_path, capsys):
+    # 36 generators exceed the Betti bound of 18, but the square of
+    # friendship:3 has linear quotients in nondecreasing degree, so the
+    # table comes from the mapping cone
+    target = tmp_path / "r.json"
+    code, _, _ = run(capsys, "--json", str(target), "betti", "friendship:3", "--power", "2")
+    assert code == 0
+    doc = json.loads(target.read_text())
+    assert len(doc["generators"]) == 36
+    ideal = power(cover_ideal(parse_construction("friendship:3")), 2)
+    cert = find_linear_quotients_order(ideal.gens)
+    ordered = [dict(m.exps) for m in sorted(cert.ordering, key=lambda m: m.total_degree)]
+    assert order_admits_linear_quotients(ordered)
+    entries = {(e["i"], e["j"]): e["rank"] for e in doc["entries"]}
+    assert entries == herzog_takayama_betti(ordered)
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "covers", "wheel:9")[0] == 2
     assert run(capsys, "covers", "cycle:2")[0] == 2
@@ -307,17 +334,26 @@ def test_bounds_below_one_are_usage_errors(capsys):
 
 
 def test_resource_bounds_exit_3(capsys):
-    code, _, err = run(capsys, "--max-gens", "1", "betti", "complete:3")
+    # no order of cycle:4's generators has linear quotients, so the Koszul
+    # fallback runs under the bound
+    code, _, err = run(capsys, "--max-gens", "1", "betti", "cycle:4")
     assert code == 3
     assert "resource bound exceeded" in err
+    # the triangle has linear quotients: its mapping cone needs no bound
+    assert run(capsys, "--max-gens", "1", "betti", "complete:3")[0] == 0
     # the bound guards only the search, which cycle:4 needs: no cheap order works
     assert run(capsys, "--max-gens", "1", "analyze", "cycle:4")[0] == 3
     assert run(capsys, "--gb-degree-cap", "1", "rees", "path:2")[0] == 3
-    # Betti tables of truncations of large powers legitimately trip the
-    # default generator bound instead of degrading silently
-    code, _, err = run(capsys, "analyze", "path:7", "-k", "2", "--betti")
+    # Koszul homology of the truncations of a power without linear
+    # quotients trips the default generator bound instead of degrading
+    # silently
+    code, _, err = run(capsys, "analyze", "cycle:6", "-k", "3", "--betti")
     assert code == 3
-    assert "22 generators exceed the Betti bound 18" in err
+    assert "19 generators exceed the Betti bound 18" in err
+    # path:7 squared has linear quotients, so its 22 generators decide
+    code, out, _ = run(capsys, "analyze", "path:7", "-k", "2", "--betti")
+    assert code == 0
+    assert "k=2: generators=22" in out and "componentwise-linear=yes" in out
     # the truncations of star:3 squared stay within it
     code, out, _ = run(capsys, "analyze", "star:3", "-k", "2", "--betti")
     assert code == 0

@@ -248,9 +248,29 @@ def test_betti_table_interface():
 
 
 def test_betti_respects_generator_bound():
-    tri = _ideal(U3, "x1*x2", "x1*x3", "x2*x3")
+    # no order of the two disjoint quadrics has linear quotients, so the
+    # Koszul fallback runs and its generator bound applies
+    c4 = cover_ideal(standard_family("cycle", 4))
     with pytest.raises(GeneratorLimitExceeded):
-        betti_table(tri, max_generators=2)
+        betti_table(c4, max_generators=1)
+    # the triangle has linear quotients: the mapping cone decides past the bound
+    tri = _ideal(U3, "x1*x2", "x1*x3", "x2*x3")
+    assert betti_table(tri, max_generators=2).entries == {(0, 2): 3, (1, 3): 2}
+
+
+def test_mapping_cone_shift_bound(monkeypatch):
+    # the triangle's mapping cone has 4 distinct shifts, the lattice's size
+    tri = _ideal(U3, "x1*x2", "x1*x3", "x2*x3")
+    assert len({b for _, b in betti_table(tri).multigraded}) == 4
+    monkeypatch.setattr(resolutions, "MAX_MULTIDEGREES", 3)
+    with pytest.raises(LatticeLimitExceeded):
+        betti_table(tri)
+    # the componentwise verdict enumerates no shift
+    assert is_componentwise_linear(tri).componentwise_linear
+    # 2^r_j shifts of one generator past the bound raise before enumeration
+    monkeypatch.setattr(resolutions, "MAX_MULTIDEGREES", 1)
+    with pytest.raises(LatticeLimitExceeded, match="of one generator"):
+        betti_table(tri)
 
 
 def test_betti_zeroth_row_counts_generators():
@@ -409,6 +429,37 @@ def test_truncation_criterion_matches_components():
 
 
 def test_componentwise_bounds_propagate():
-    tri = _ideal(U3, "x1*x2", "x1*x3", "x2*x3")
+    c4 = cover_ideal(standard_family("cycle", 4))
     with pytest.raises(GeneratorLimitExceeded):
-        is_componentwise_linear(tri, max_generators=2)
+        is_componentwise_linear(c4, max_generators=1)
+    # a linear-quotients order decides without any table, past the bound
+    tri = _ideal(U3, "x1*x2", "x1*x3", "x2*x3")
+    assert is_componentwise_linear(tri, max_generators=2).by_degree == {2: True}
+
+
+def test_mapping_cone_agrees_with_koszul_homology(monkeypatch):
+    # every power k <= 3 of the graphs above within the Koszul bounds: the
+    # mapping-cone table equals the Koszul one, graded and multigraded, and
+    # the verdict from the certificate equals the truncation/Koszul verdict
+    bound = resolutions.BETTI_MAX_GENERATORS
+    graphs = dict.fromkeys(text for text, _ in HERZOG_TAKAYAMA_CASES + COMPONENTWISE_CASES)
+    tables = verdicts = 0
+    for text in graphs:
+        for k in (1, 2, 3):
+            ideal = power(cover_ideal(parse_construction(text)), k)
+            try:
+                koszul = resolutions._koszul_betti_table(ideal, bound)
+            except (GeneratorLimitExceeded, LatticeLimitExceeded):
+                continue
+            if resolutions._degree_order_certificate(ideal) is not None:
+                cone = betti_table(ideal, bound)
+                assert cone.entries == koszul.entries, (text, k)
+                assert cone.multigraded == koszul.multigraded, (text, k)
+                tables += 1
+            fast = is_componentwise_linear(ideal, bound)
+            with monkeypatch.context() as patch:
+                patch.setattr(resolutions, "betti_table", resolutions._koszul_betti_table)
+                slow = resolutions._componentwise_by_truncations(ideal, bound)
+            assert fast == slow, (text, k)
+            verdicts += 1
+    assert (tables, verdicts) == (21, 33)
