@@ -1,15 +1,18 @@
 """Linear quotients, multigraded Betti numbers, componentwise linearity.
 
 Linear quotients (Herzog-Takayama, 2002) are checked by one colon rule on
-support bitmasks and searched for with two heuristic orders followed by a
-memoized backtracking search, which is exact; the order is the
-certificate, and it records the variables of each colon.  When the
-generators have linear quotients in an order of nondecreasing degree, the
-mapping cone is a minimal resolution: beta_{i,i+d} is the sum of
-C(r_j, i) over the generators u_j of degree d with r_j colon variables,
-the multigraded shifts are u_j * x_F for the subsets F of those
-variables, and every truncation is a prefix of the order, so the ideal is
-componentwise linear (Herzog-Takayama; Jahan-Zheng, JCTA 117, 2010).
+support bitmasks and searched for with two heuristic orders followed by an
+exact backtracking search.  An ideal with linear quotients has them in an
+order of nondecreasing degree (Jahan-Zheng, JCTA 117, 2010), so the search
+places the generators one degree block at a time, each block with its own
+memo of failed subsets; the order is the certificate, and it records the
+variables of each colon.  When the generators have linear quotients in an
+order of nondecreasing degree, the mapping cone is a minimal resolution:
+beta_{i,i+d} is the sum of C(r_j, i) over the generators u_j of degree d
+with r_j colon variables, the multigraded shifts are u_j * x_F for the
+subsets F of those variables, and every truncation is a prefix of the
+order, so the ideal is componentwise linear (Herzog-Takayama;
+Jahan-Zheng).
 
 Otherwise Betti numbers are computed exactly: for every multidegree in
 the lcm lattice of the generators, the reduced homology of the upper
@@ -112,63 +115,113 @@ def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
 def find_linear_quotients_order(
     gens, max_generators: int = 24
 ) -> LinearQuotientsCertificate | None:
-    """Search for a linear-quotients order of a set of monomials.
+    """Search for a linear-quotients order of the minimal generators of a
+    monomial ideal.
 
     Tries the ascending order under the universe priority (the order the
-    standard-monomial machinery predicts), then the descending one, then
-    a backtracking search over prefixes.  Whether a next generator may be
-    appended depends only on the set already placed, so failed prefix
-    sets are memoized and the search is exact: None means no order at
-    all has linear quotients.  ``max_generators`` bounds only that
-    search; the two cheap orders are always tried.
+    standard-monomial machinery predicts), then the descending one, then a
+    backtracking search over the orders of nondecreasing degree, one degree
+    block at a time (``_degree_block_search``).  By Jahan-Zheng (JCTA 117,
+    2010) those orders suffice, so the search is exact: None means no order
+    at all has linear quotients.  ``max_generators`` bounds only that
+    search; the two cheap orders are always tried.  The search raises
+    ValueError when one generator divides another.
     """
     pool = sorted(set(gens), key=canonical_key)
     for ordering, method in ((pool, "ascending"), (list(reversed(pool)), "descending")):
         result = check_linear_quotients(ordering)
         if isinstance(result, LinearQuotientsCertificate):
             return replace(result, method=method)
-    n = len(pool)
-    if n > max_generators:
+    if len(pool) > max_generators:
         raise GeneratorLimitExceeded(
-            f"{n} generators exceed the search bound {max_generators}"
+            f"{len(pool)} generators exceed the search bound {max_generators}"
         )
+    return _degree_block_search(pool)
+
+
+def _degree_block_search(
+    pool: list[Monomial], max_dead: float = float("inf")
+) -> LinearQuotientsCertificate | None:
+    """A linear-quotients order of ``pool`` in nondecreasing degree, or None
+    when there is none (so no order at all, by Jahan-Zheng) or a block
+    memoizes more than ``max_dead`` failed subsets.
+
+    Whether a generator may be appended depends only on the set already
+    placed, and once a degree block is placed that set is the same
+    whatever order the block took, so each block is searched on its own.
+    Candidates are tried in ``pool`` order; the order found is re-checked.
+    """
     # masks[j][l]: the colon pool[l] : pool[j]
     masks = [[_colon_masks(g.exponents, u.exponents) for g in pool] for u in pool]
+    if any(not masks[j][l][0] for j in range(len(pool)) for l in range(len(pool)) if l != j):
+        raise ValueError("the search needs minimal generators: one divides another")
+    blocks: dict[int, list[int]] = {}
+    for j, u in enumerate(pool):
+        blocks.setdefault(u.total_degree, []).append(j)
+    order: list[int] = []
+    for degree in sorted(blocks):
+        block = _block_order(blocks[degree], order, masks, max_dead)
+        if block is None:
+            return None
+        order += block
+    result = check_linear_quotients([pool[i] for i in order])
+    assert isinstance(result, LinearQuotientsCertificate)
+    return replace(result, method="search")
+
+
+def _block_order(block: list[int], below: list[int], masks, max_dead: float) -> list[int] | None:
+    """An order of ``block`` in which each generator passes the colon rule
+    against ``below`` and the block members before it, by backtracking
+    with failed subsets memoized (bit i of ``placed`` is ``block[i]``);
+    None when there is none or more than ``max_dead`` subsets failed."""
+    size = len(block)
+    lower = [[masks[c][l] for l in below] for c in block]
     dead: set[int] = set()
 
     def dfs(prefix: list[int], placed: int) -> list[int] | None:
-        if len(prefix) == n:
+        if len(prefix) == size:
             return prefix
         if placed in dead:
             return None
-        for cand in range(n):
-            if placed >> cand & 1 or _colon_variables([masks[cand][l] for l in prefix]) is None:
+        for i, c in enumerate(block):
+            if len(dead) > max_dead:
+                break
+            if placed >> i & 1:
                 continue
-            found = dfs(prefix + [cand], placed | 1 << cand)
+            if _colon_variables(lower[i] + [masks[c][l] for l in prefix]) is None:
+                continue
+            found = dfs(prefix + [c], placed | 1 << i)
             if found is not None:
                 return found
         dead.add(placed)
         return None
 
-    found = dfs([], 0)
-    if found is None:
-        return None
-    result = check_linear_quotients([pool[i] for i in found])
-    assert isinstance(result, LinearQuotientsCertificate)
-    return replace(result, method="search")
+    return dfs([], 0)
 
 
-def _degree_order_certificate(ideal: MonomialIdeal) -> LinearQuotientsCertificate | None:
+# failed subsets one degree block may memoize before the Betti layer gives
+# up on the search; an equigenerated ideal without linear quotients can
+# otherwise take 2^m steps, where Koszul homology is bounded by the lattice
+SEARCH_MAX_DEAD = 256
+
+
+def _degree_order_certificate(
+    ideal: MonomialIdeal, max_generators: int
+) -> LinearQuotientsCertificate | None:
     """A linear-quotients order of the generators in nondecreasing degree:
     the stable degree sort of the ascending order under the universe
-    priority, then of the descending one, each re-checked.  None when
-    neither has linear quotients (another order still might)."""
+    priority, then of the descending one, each re-checked, then
+    ``_degree_block_search`` within ``SEARCH_MAX_DEAD`` when there are at
+    most ``max_generators`` generators.  None when none of these finds an
+    order (another order still might past the bound or the budget)."""
     pool = sorted(ideal.gens, key=canonical_key)
     for ordering in (pool, pool[::-1]):
         result = check_linear_quotients(sorted(ordering, key=lambda m: m.total_degree))
         if isinstance(result, LinearQuotientsCertificate):
             return result
-    return None
+    if len(pool) > max_generators:
+        return None
+    return _degree_block_search(pool, SEARCH_MAX_DEAD)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +412,11 @@ def betti_table(
     """Exact multigraded Betti numbers.
 
     From the mapping cone when ``_degree_order_certificate`` finds a
-    linear-quotients order; otherwise from upper Koszul homology, and only
-    then do ``max_generators`` and the lattice bound apply.
+    linear-quotients order; otherwise from upper Koszul homology.  Past
+    ``max_generators`` only the sweeps look for an order, and the Koszul
+    path raises; the lattice bound applies only to Koszul homology.
     """
-    cert = _degree_order_certificate(ideal)
+    cert = _degree_order_certificate(ideal, max_generators)
     if cert is None:
         return _koszul_betti_table(ideal, max_generators)
     return _mapping_cone_table(cert)
@@ -441,9 +495,9 @@ def is_componentwise_linear(
     each I_<=j is generated by a prefix of it, which has linear quotients
     in nondecreasing degree, so reg(I_<=j) <= j and no table is built.
     Otherwise the truncations' Betti tables decide, and ``max_generators``
-    bounds their Koszul homology.
+    bounds the search for that order and the truncations' Koszul homology.
     """
-    if _degree_order_certificate(ideal) is None:
+    if _degree_order_certificate(ideal, max_generators) is None:
         return _componentwise_by_truncations(ideal, max_generators)
     degrees = [g.total_degree for g in ideal.gens]
     span = range(min(degrees, default=0), max(degrees, default=-1) + 1)

@@ -133,7 +133,9 @@ def test_find_order_detects_impossible_ideals():
     ideal = _ideal(U4, "x1*x3", "x2*x4")
     assert find_linear_quotients_order(ideal.gens) is None
     assert exhaustive_linear_quotients(list(ideal.gens)) is None
-    # all 22 generators of cycle:6 cubed go through the memoized search
+    # cycle:6 cubed: 22 generators in degrees 9 to 12; the degree-block
+    # search (Jahan-Zheng) stops at its lowest block, four generators of
+    # degree 9 with no order
     cube = power(cover_ideal(parse_construction("cycle:6")), 3)
     assert len(cube.gens) == 22
     assert find_linear_quotients_order(cube.gens, max_generators=22) is None
@@ -169,6 +171,96 @@ def test_find_order_agrees_with_exhaustive_search():
             hits += 1
             assert _admits(cert)
     assert hits > 0 and misses > 0
+
+
+def _random_mixed_ideal(rng, universe, count):
+    """Minimal generators of ``count`` random monomials of degrees 2 to 4."""
+    gens = []
+    for _ in range(count):
+        exps = {}
+        for _ in range(rng.randint(2, 4)):
+            name = rng.choice(universe.all_vars)
+            exps[name] = exps.get(name, 0) + 1
+        gens.append(universe.monomial(exps))
+    return MonomialIdeal(universe, gens)
+
+
+def test_degree_block_search_agrees_with_exhaustive_search():
+    # random mixed-degree ideals with at most 7 generators: the search finds
+    # an order exactly when some permutation has linear quotients, its
+    # orders are nondecreasing in degree, and the stable degree sort of any
+    # order with linear quotients keeps them (Jahan-Zheng, JCTA 117, 2010)
+    rng = random.Random(1406)
+    u5 = VariableUniverse(tuple(f"x{i}" for i in range(1, 6)))
+    searched = missed = resorted = 0
+    for _ in range(200):
+        ideal = _random_mixed_ideal(rng, u5, rng.randint(4, 9))
+        if len(ideal.gens) > 7 or ideal.is_equigenerated():
+            continue
+        cert = find_linear_quotients_order(ideal.gens)
+        oracle = exhaustive_linear_quotients(list(ideal.gens))
+        assert (cert is None) == (oracle is None), ideal.gens
+        if cert is None:
+            missed += 1
+            continue
+        degrees = [m.total_degree for m in cert.ordering]
+        if cert.method == "search":
+            searched += 1
+            assert degrees == sorted(degrees), cert.ordering
+        for order in (cert.ordering, oracle):
+            by_degree = sorted(order, key=lambda m: m.total_degree)
+            resorted += by_degree != list(order)
+            assert isinstance(check_linear_quotients(by_degree), LinearQuotientsCertificate), order
+    assert searched > 0 and missed > 0 and resorted > 0, (searched, missed, resorted)
+
+
+def test_degree_block_search_needs_minimal_generators():
+    # x1*x3 divides x1*x2*x3, so only orders against the degree can work
+    gens = [parse_monomial(t, U4) for t in ("x1*x3", "x2*x4", "x1*x2*x3")]
+    with pytest.raises(ValueError):
+        find_linear_quotients_order(gens)
+
+
+# powers that no search decided in 20 s before the search went block by block
+DEGREE_BLOCK_CASES = [
+    ("cycle:6", 4, 35, False),
+    ("cycle:8", 2, 35, False),
+    ("cone(cycle:6)", 3, 40, False),
+    ("cycle:9", 2, 57, True),
+]
+
+
+def test_degree_block_search_decides_large_powers():
+    for text, k, count, found in DEGREE_BLOCK_CASES:
+        ideal = power(cover_ideal(parse_construction(text)), k)
+        assert len(ideal.gens) == count, (text, k)
+        cert = find_linear_quotients_order(ideal.gens, max_generators=64)
+        assert (cert is not None) == found, (text, k)
+        if found:
+            assert cert.method == "search", (text, k)
+            recheck = check_linear_quotients(cert.ordering)
+            assert isinstance(recheck, LinearQuotientsCertificate), (text, k)
+            assert recheck.colon_variables == cert.colon_variables, (text, k)
+            assert _admits(cert), (text, k)
+
+
+def test_betti_layer_takes_the_search_order(monkeypatch):
+    # cycle:7 squared: 28 generators of degree 8, both sweeps fail and the
+    # search finds an order, so no truncation or Koszul table is built
+    ideal = power(cover_ideal(parse_construction("cycle:7")), 2)
+    assert len(ideal.gens) == 28
+    cert = find_linear_quotients_order(ideal.gens, max_generators=28)
+    assert cert is not None and cert.method == "search"
+    with monkeypatch.context() as patch:
+        patch.setattr(resolutions, "_koszul_betti_table", None)
+        patch.setattr(resolutions, "_componentwise_by_truncations", None)
+        assert is_componentwise_linear(ideal, max_generators=28).linear_resolution
+        table = betti_table(ideal, max_generators=28)
+    ordered = [dict(m.exps) for m in cert.ordering]
+    assert table.entries == herzog_takayama_betti(ordered)
+    # past the search bound the Koszul path and its own bound decide
+    with pytest.raises(GeneratorLimitExceeded):
+        betti_table(ideal, max_generators=27)
 
 
 def test_int_rank_matches_fraction_elimination():
@@ -451,7 +543,7 @@ def test_mapping_cone_agrees_with_koszul_homology(monkeypatch):
                 koszul = resolutions._koszul_betti_table(ideal, bound)
             except (GeneratorLimitExceeded, LatticeLimitExceeded):
                 continue
-            if resolutions._degree_order_certificate(ideal) is not None:
+            if resolutions._degree_order_certificate(ideal, bound) is not None:
                 cone = betti_table(ideal, bound)
                 assert cone.entries == koszul.entries, (text, k)
                 assert cone.multigraded == koszul.multigraded, (text, k)
