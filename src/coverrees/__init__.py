@@ -58,7 +58,6 @@ from .rees import (
     StandardMonomialSet,
     XConditionReport,
     minimal_generation_check,
-    pi_image,
     rees_presentation,
     standard_monomials,
     x_condition,
@@ -72,8 +71,6 @@ from .resolutions import (
     find_linear_quotients_order,
     has_linear_resolution,
     is_componentwise_linear,
-    lcm_lattice,
-    upper_koszul_faces,
 )
 
 __version__ = "0.1.0"

@@ -1,25 +1,23 @@
 """Linear quotients, multigraded Betti numbers, componentwise linearity.
 
 Linear quotients (Herzog-Takayama, 2002) are checked by one colon rule on
-support bitmasks and searched for with two heuristic orders followed by an
-exact backtracking search.  An ideal with linear quotients has them in an
-order of nondecreasing degree (Jahan-Zheng, JCTA 117, 2010), so the search
-places the generators one degree block at a time, each block with its own
-memo of failed subsets; the order is the certificate, and it records the
-variables of each colon.  When the generators have linear quotients in an
-order of nondecreasing degree, the mapping cone is a minimal resolution:
-beta_{i,i+d} is the sum of C(r_j, i) over the generators u_j of degree d
-with r_j colon variables, the multigraded shifts are u_j * x_F for the
-subsets F of those variables, and every truncation is a prefix of the
-order, so the ideal is componentwise linear (Herzog-Takayama;
-Jahan-Zheng).
+support bitmasks.  One exact search serves the CLI and the Betti layer:
+two heuristic orders sorted by degree, then backtracking one degree block
+at a time (Jahan-Zheng, JCTA 117, 2010), each block first screened by the
+linear-graph rule.  The order is the certificate; it is nondecreasing in
+degree and records the variables of each colon, so the mapping cone is a
+minimal resolution: beta_{i,i+d} is the sum of C(r_j, i) over the
+generators u_j of degree d with r_j colon variables, the multigraded
+shifts are u_j * x_F for the subsets F of those variables, and every
+truncation is a prefix of the order, so the ideal is componentwise
+linear (Herzog-Takayama; Jahan-Zheng).
 
-Otherwise Betti numbers are computed exactly: for every multidegree in
-the lcm lattice of the generators, the reduced homology of the upper
-Koszul simplicial complex is taken over the rationals, with ranks
-obtained by fraction-free integer elimination; linearity is read off the
-regularity (Eisenbud-Goto, J. Algebra 88, 1984: M_{>=r} has an r-linear
-resolution exactly when reg M <= r).
+When there is no order, Betti numbers are computed exactly: for every
+multidegree in the lcm lattice of the generators, the reduced homology of
+the upper Koszul simplicial complex is taken over the rationals, with
+ranks obtained by fraction-free integer elimination; linearity is read
+off the regularity (Eisenbud-Goto, J. Algebra 88, 1984: M_{>=r} has an
+r-linear resolution exactly when reg M <= r).
 """
 
 from __future__ import annotations
@@ -116,20 +114,30 @@ def find_linear_quotients_order(
     gens, max_generators: int = 24
 ) -> LinearQuotientsCertificate | None:
     """Search for a linear-quotients order of the minimal generators of a
-    monomial ideal.
+    monomial ideal; every order found is in nondecreasing degree.
 
     Tries the ascending order under the universe priority (the order the
-    standard-monomial machinery predicts), then the descending one, then a
-    backtracking search over the orders of nondecreasing degree, one degree
-    block at a time (``_degree_block_search``).  By Jahan-Zheng (JCTA 117,
-    2010) those orders suffice, so the search is exact: None means no order
-    at all has linear quotients.  ``max_generators`` bounds only that
-    search; the two cheap orders are always tried.  The search raises
-    ValueError when one generator divides another.
+    standard-monomial machinery predicts), then the descending one, each
+    stably sorted by degree, then a backtracking search over the orders of
+    nondecreasing degree, one degree block at a time
+    (``_degree_block_search``).  ``max_generators`` bounds only that search;
+    the two sweeps are always tried.  The search raises ValueError when one
+    generator divides another.
+
+    The degree sort loses no order (Jahan-Zheng, JCTA 117, 2010), so None
+    means no order at all has linear quotients.  Let u_1, ..., u_m have
+    linear quotients and deg u_i > deg u_{i+1}; swapping the two, which
+    adjacent swaps repeat into the stable sort, changes two colons.  Each
+    colon variable x of u_{i+1} is some u_l : u_{i+1} with l < i, as l = i
+    would make u_{i+1} divide u_i; so u_{i+1} keeps its colon.  Take such an x
+    dividing u_i : u_{i+1}, which lies in that colon.  The x-exponent of u_l
+    is then at most that of u_i, so supp(u_l : u_i) lies in
+    supp(u_{i+1} : u_i), and a colon variable of u_i dividing u_l : u_i
+    divides u_{i+1} : u_i: u_i keeps its colon too.
     """
     pool = sorted(set(gens), key=canonical_key)
     for ordering, method in ((pool, "ascending"), (list(reversed(pool)), "descending")):
-        result = check_linear_quotients(ordering)
+        result = check_linear_quotients(sorted(ordering, key=lambda m: m.total_degree))
         if isinstance(result, LinearQuotientsCertificate):
             return replace(result, method=method)
     if len(pool) > max_generators:
@@ -139,12 +147,9 @@ def find_linear_quotients_order(
     return _degree_block_search(pool)
 
 
-def _degree_block_search(
-    pool: list[Monomial], max_dead: float = float("inf")
-) -> LinearQuotientsCertificate | None:
+def _degree_block_search(pool: list[Monomial]) -> LinearQuotientsCertificate | None:
     """A linear-quotients order of ``pool`` in nondecreasing degree, or None
-    when there is none (so no order at all, by Jahan-Zheng) or a block
-    memoizes more than ``max_dead`` failed subsets.
+    when there is none (so no order at all).
 
     Whether a generator may be appended depends only on the set already
     placed, and once a degree block is placed that set is the same
@@ -160,7 +165,7 @@ def _degree_block_search(
         blocks.setdefault(u.total_degree, []).append(j)
     order: list[int] = []
     for degree in sorted(blocks):
-        block = _block_order(blocks[degree], order, masks, max_dead)
+        block = _block_order(blocks[degree], order, masks)
         if block is None:
             return None
         order += block
@@ -169,13 +174,28 @@ def _degree_block_search(
     return replace(result, method="search")
 
 
-def _block_order(block: list[int], below: list[int], masks, max_dead: float) -> list[int] | None:
+def _block_order(block: list[int], below: list[int], masks) -> list[int] | None:
     """An order of ``block`` in which each generator passes the colon rule
-    against ``below`` and the block members before it, by backtracking
-    with failed subsets memoized (bit i of ``placed`` is ``block[i]``);
-    None when there is none or more than ``max_dead`` subsets failed."""
+    against ``below`` and the block members before it, or None.
+
+    First the linear-graph rule.  In an order with linear quotients each u_j
+    after the first has an earlier u_i with u_i : u_j one variable (the
+    colon's minimal generators are among the u_i : u_j), and within one
+    degree u_i = x*u_j/y makes that symmetric.  By induction along the
+    order, every member reaches through such pairs a member with a
+    one-variable colon from ``below``, or the first member when ``below`` is
+    empty; otherwise there is no order.  Then backtracking, with failed
+    subsets memoized (bit i of ``placed`` is ``block[i]``).
+    """
     size = len(block)
     lower = [[masks[c][l] for l in below] for c in block]
+    reached = block[:1]
+    if below:
+        reached = [c for c, colons in zip(block, lower) if any(one for _, one in colons)]
+    for c in reached:  # also visits the members this loop appends
+        reached += [d for d in block if d not in reached and masks[d][c][1]]
+    if len(reached) < size:
+        return None
     dead: set[int] = set()
 
     def dfs(prefix: list[int], placed: int) -> list[int] | None:
@@ -184,8 +204,6 @@ def _block_order(block: list[int], below: list[int], masks, max_dead: float) -> 
         if placed in dead:
             return None
         for i, c in enumerate(block):
-            if len(dead) > max_dead:
-                break
             if placed >> i & 1:
                 continue
             if _colon_variables(lower[i] + [masks[c][l] for l in prefix]) is None:
@@ -197,31 +215,6 @@ def _block_order(block: list[int], below: list[int], masks, max_dead: float) -> 
         return None
 
     return dfs([], 0)
-
-
-# failed subsets one degree block may memoize before the Betti layer gives
-# up on the search; an equigenerated ideal without linear quotients can
-# otherwise take 2^m steps, where Koszul homology is bounded by the lattice
-SEARCH_MAX_DEAD = 256
-
-
-def _degree_order_certificate(
-    ideal: MonomialIdeal, max_generators: int
-) -> LinearQuotientsCertificate | None:
-    """A linear-quotients order of the generators in nondecreasing degree:
-    the stable degree sort of the ascending order under the universe
-    priority, then of the descending one, each re-checked, then
-    ``_degree_block_search`` within ``SEARCH_MAX_DEAD`` when there are at
-    most ``max_generators`` generators.  None when none of these finds an
-    order (another order still might past the bound or the budget)."""
-    pool = sorted(ideal.gens, key=canonical_key)
-    for ordering in (pool, pool[::-1]):
-        result = check_linear_quotients(sorted(ordering, key=lambda m: m.total_degree))
-        if isinstance(result, LinearQuotientsCertificate):
-            return result
-    if len(pool) > max_generators:
-        return None
-    return _degree_block_search(pool, SEARCH_MAX_DEAD)
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +404,12 @@ def betti_table(
 ) -> BettiTable:
     """Exact multigraded Betti numbers.
 
-    From the mapping cone when ``_degree_order_certificate`` finds a
-    linear-quotients order; otherwise from upper Koszul homology.  Past
-    ``max_generators`` only the sweeps look for an order, and the Koszul
-    path raises; the lattice bound applies only to Koszul homology.
+    From the mapping cone of the order ``find_linear_quotients_order``
+    finds; when it proves there is none, from upper Koszul homology.
+    ``max_generators`` bounds that search, so past it only the sweeps can
+    decide; the lattice bound applies only to Koszul homology.
     """
-    cert = _degree_order_certificate(ideal, max_generators)
+    cert = find_linear_quotients_order(ideal.gens, max_generators)
     if cert is None:
         return _koszul_betti_table(ideal, max_generators)
     return _mapping_cone_table(cert)
@@ -491,13 +484,13 @@ def is_componentwise_linear(
     generators of degree at most j (Eisenbud-Goto; Herzog-Hibi, Nagoya
     Math. J. 153, 1999).
 
-    When ``_degree_order_certificate`` finds a linear-quotients order,
-    each I_<=j is generated by a prefix of it, which has linear quotients
-    in nondecreasing degree, so reg(I_<=j) <= j and no table is built.
-    Otherwise the truncations' Betti tables decide, and ``max_generators``
-    bounds the search for that order and the truncations' Koszul homology.
+    When ``find_linear_quotients_order`` finds an order, each I_<=j is
+    generated by a prefix of it, which has linear quotients in
+    nondecreasing degree, so reg(I_<=j) <= j and no table is built.  When
+    it proves there is none, the truncations' Betti tables decide.
+    ``max_generators`` bounds that search, as in ``betti_table``.
     """
-    if _degree_order_certificate(ideal, max_generators) is None:
+    if find_linear_quotients_order(ideal.gens, max_generators) is None:
         return _componentwise_by_truncations(ideal, max_generators)
     degrees = [g.total_degree for g in ideal.gens]
     span = range(min(degrees, default=0), max(degrees, default=-1) + 1)

@@ -35,16 +35,16 @@ from coverrees import (
     is_componentwise_linear,
     is_groebner_basis,
     is_unmixed,
-    lcm_lattice,
     minimal_generation_check,
     parse_construction,
-    pi_image,
     power,
     Poset,
     rees_presentation,
     standard_monomials,
     x_condition,
 )
+from coverrees.rees import pi_image
+from coverrees.resolutions import lcm_lattice
 
 
 def _emit(line):

@@ -344,12 +344,12 @@ def test_resource_bounds_exit_3(capsys):
     # the bound guards only the search, which cycle:4 needs: no cheap order works
     assert run(capsys, "--max-gens", "1", "analyze", "cycle:4")[0] == 3
     assert run(capsys, "--gb-degree-cap", "1", "rees", "path:2")[0] == 3
-    # Koszul homology of the truncations of a power without linear
+    # the Betti layer's search for an order of a power without linear
     # quotients trips the default generator bound instead of degrading
     # silently
     code, _, err = run(capsys, "analyze", "cycle:6", "-k", "3", "--betti")
     assert code == 3
-    assert "19 generators exceed the Betti bound 18" in err
+    assert "22 generators exceed the search bound 18" in err
     # path:7 squared has linear quotients, so its 22 generators decide
     code, out, _ = run(capsys, "analyze", "path:7", "-k", "2", "--betti")
     assert code == 0

@@ -16,7 +16,6 @@ from coverrees import (
     is_groebner_basis,
     minimal_generation_check,
     parse_monomial,
-    pi_image,
     power,
     rees_presentation,
     standard_family,
@@ -25,6 +24,7 @@ from coverrees import (
     parse_construction,
     x_condition,
 )
+from coverrees.rees import pi_image
 from oracles import split_fibers
 
 

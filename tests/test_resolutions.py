@@ -13,16 +13,15 @@ from coverrees import (
     VariableUniverse,
     betti_table,
     check_linear_quotients,
+    component,
     cover_ideal,
     find_linear_quotients_order,
     has_linear_resolution,
     is_componentwise_linear,
-    lcm_lattice,
     parse_construction,
     parse_monomial,
     power,
     standard_family,
-    upper_koszul_faces,
     variable,
 )
 
@@ -36,7 +35,7 @@ from oracles import (
 )
 
 from coverrees import resolutions
-from coverrees.resolutions import _int_rank
+from coverrees.resolutions import _int_rank, lcm_lattice, upper_koszul_faces
 
 
 def _ideal(universe, *texts):
@@ -50,6 +49,7 @@ def _admits(cert):
 
 U3 = VariableUniverse(("x1", "x2", "x3"))
 U4 = VariableUniverse(("x1", "x2", "x3", "x4"))
+U5 = VariableUniverse(tuple(f"x{i}" for i in range(1, 6)))
 
 
 def test_check_linear_quotients_certificate():
@@ -119,14 +119,33 @@ def test_find_order_uses_ascending_heuristic():
     assert _admits(cert)
 
 
+# both degree-sorted sweeps fail on these four cubics, but an order exists
+SEARCH_ONLY = ("x1*x2*x4", "x1*x3*x4", "x2*x3*x5", "x2*x4*x5")
+
+
 def test_find_order_falls_back_to_search():
-    # both sweeps fail on (x1^3, x1*x2, x2^3) but a mixed order works
-    u = VariableUniverse(("x1", "x2"))
-    gens = _ideal(u, "x1^3", "x1*x2", "x2^3").gens
+    gens = _ideal(U5, *SEARCH_ONLY).gens
     cert = find_linear_quotients_order(gens)
     assert cert is not None and cert.method == "search"
+    assert [str(m) for m in cert.ordering] == ["x2*x4*x5", "x2*x3*x5", "x1*x2*x4", "x1*x3*x4"]
+    assert _admits(cert)
+
+
+def test_find_order_sorts_the_sweeps_by_degree():
+    # the raw ascending and descending orders of (x1^3, x1*x2, x2^3) both
+    # fail; sorted by degree, the ascending one has linear quotients
+    u = VariableUniverse(("x1", "x2"))
+    cert = find_linear_quotients_order(_ideal(u, "x1^3", "x1*x2", "x2^3").gens)
+    assert cert is not None and cert.method == "ascending"
     assert [str(m) for m in cert.ordering] == ["x1*x2", "x2^3", "x1^3"]
     assert _admits(cert)
+    # the raw ascending order of the square of complete_bipartite:1,3 fails
+    # and the raw descending one passes; sorted by degree, the ascending
+    # one passes
+    square = power(cover_ideal(parse_construction("complete_bipartite:1,3")), 2)
+    cert = find_linear_quotients_order(square.gens)
+    assert cert.method == "ascending"
+    assert [str(m) for m in cert.ordering] == ["x1^2", "x1*x2*x3*x4", "x2^2*x3^2*x4^2"]
 
 
 def test_find_order_detects_impossible_ideals():
@@ -142,11 +161,10 @@ def test_find_order_detects_impossible_ideals():
 
 
 def test_find_order_respects_generator_bound():
-    # both cheap orders fail here, so the search runs and the bound applies
-    u = VariableUniverse(("x1", "x2"))
-    gens = _ideal(u, "x1^3", "x1*x2", "x2^3").gens
-    with pytest.raises(GeneratorLimitExceeded):
-        find_linear_quotients_order(gens, max_generators=2)
+    # both sweeps fail here, so the search runs and the bound applies
+    gens = _ideal(U5, *SEARCH_ONLY).gens
+    with pytest.raises(GeneratorLimitExceeded, match="4 generators exceed the search bound 3"):
+        find_linear_quotients_order(gens, max_generators=3)
     # the bound guards only the search: the ascending order is still tried
     cert = find_linear_quotients_order(_ideal(U3, "x1", "x2", "x3").gens, max_generators=2)
     assert cert is not None and cert.method == "ascending"
@@ -191,10 +209,9 @@ def test_degree_block_search_agrees_with_exhaustive_search():
     # orders are nondecreasing in degree, and the stable degree sort of any
     # order with linear quotients keeps them (Jahan-Zheng, JCTA 117, 2010)
     rng = random.Random(1406)
-    u5 = VariableUniverse(tuple(f"x{i}" for i in range(1, 6)))
     searched = missed = resorted = 0
     for _ in range(200):
-        ideal = _random_mixed_ideal(rng, u5, rng.randint(4, 9))
+        ideal = _random_mixed_ideal(rng, U5, rng.randint(4, 9))
         if len(ideal.gens) > 7 or ideal.is_equigenerated():
             continue
         cert = find_linear_quotients_order(ideal.gens)
@@ -212,6 +229,81 @@ def test_degree_block_search_agrees_with_exhaustive_search():
             resorted += by_degree != list(order)
             assert isinstance(check_linear_quotients(by_degree), LinearQuotientsCertificate), order
     assert searched > 0 and missed > 0 and resorted > 0, (searched, missed, resorted)
+
+
+def test_degree_sort_keeps_linear_quotients():
+    # any order with linear quotients keeps them when stably sorted by
+    # degree, the swap argument in find_linear_quotients_order's docstring
+    rng = random.Random(2010)
+    passed = resorted = 0
+    for _ in range(300):
+        ideal = _random_mixed_ideal(rng, U5, rng.randint(3, 6))
+        for _ in range(6):
+            order = list(ideal.gens)
+            rng.shuffle(order)
+            if not isinstance(check_linear_quotients(order), LinearQuotientsCertificate):
+                continue
+            passed += 1
+            by_degree = sorted(order, key=lambda m: m.total_degree)
+            resorted += by_degree != order
+            assert order_admits_linear_quotients([m.exps for m in by_degree]), order
+            assert isinstance(check_linear_quotients(by_degree), LinearQuotientsCertificate)
+    assert resorted > 20, (passed, resorted)
+
+
+def test_linear_graph_rule_agrees_with_exhaustive_search():
+    # equigenerated squarefree ideals are one degree block each: an order
+    # exists only if the linear graph (lcm of degree d + 1) is connected,
+    # and a connected graph still leaves the verdict to the backtracking
+    rng = random.Random(2011)
+    u6 = VariableUniverse(tuple(f"x{i}" for i in range(1, 7)))
+    found = missed = split = 0
+    for _ in range(100):
+        d = rng.randint(2, 3)
+        universe = rng.choice((U5, u6))
+        faces = rng.sample(list(combinations(universe.all_vars, d)), rng.randint(3, 7))
+        chosen = [universe.monomial(dict.fromkeys(f, 1)) for f in faces]
+        gens = list(MonomialIdeal(universe, chosen).gens)
+        reached, frontier = {0}, [0]
+        while frontier:
+            i = frontier.pop()
+            for j, g in enumerate(gens):
+                if j not in reached and gens[i].lcm(g).total_degree == d + 1:
+                    reached.add(j)
+                    frontier.append(j)
+        cert = find_linear_quotients_order(gens)
+        assert (cert is None) == (exhaustive_linear_quotients(gens) is None), gens
+        if len(reached) < len(gens):
+            split += 1
+            assert cert is None, gens
+        elif cert is None:
+            missed += 1
+        else:
+            found += 1
+            assert _admits(cert)
+    assert found > 0 and missed > 0 and split > 0, (found, missed, split)
+
+
+def test_linear_graph_rule_decides_split_components(monkeypatch):
+    # the 21-generator components of degree 6 of complete_bipartite:2,3
+    # squared and of degree 8 of its cube have no order: their linear
+    # graphs are disconnected, so no subset is searched; only the two
+    # sweeps run the colon rule (backtracking alone takes seconds on each)
+    calls = []
+    colon_rule = resolutions._colon_variables
+
+    def counted(colons):
+        calls.append(1)
+        return colon_rule(colons)
+
+    monkeypatch.setattr(resolutions, "_colon_variables", counted)
+    ideal = cover_ideal(parse_construction("complete_bipartite:2,3"))
+    for k, d in ((2, 6), (3, 8)):
+        gens = component(power(ideal, k), d).gens
+        assert len(gens) == 21
+        calls.clear()
+        assert find_linear_quotients_order(gens, max_generators=10**6) is None, (k, d)
+        assert len(calls) <= 2 * len(gens), (k, d)
 
 
 def test_degree_block_search_needs_minimal_generators():
@@ -258,8 +350,8 @@ def test_betti_layer_takes_the_search_order(monkeypatch):
         table = betti_table(ideal, max_generators=28)
     ordered = [dict(m.exps) for m in cert.ordering]
     assert table.entries == herzog_takayama_betti(ordered)
-    # past the search bound the Koszul path and its own bound decide
-    with pytest.raises(GeneratorLimitExceeded):
+    # past the bound the sweeps alone cannot decide, and the search raises
+    with pytest.raises(GeneratorLimitExceeded, match="28 generators exceed the search bound 27"):
         betti_table(ideal, max_generators=27)
 
 
@@ -543,7 +635,7 @@ def test_mapping_cone_agrees_with_koszul_homology(monkeypatch):
                 koszul = resolutions._koszul_betti_table(ideal, bound)
             except (GeneratorLimitExceeded, LatticeLimitExceeded):
                 continue
-            if resolutions._degree_order_certificate(ideal, bound) is not None:
+            if find_linear_quotients_order(ideal.gens, bound) is not None:
                 cone = betti_table(ideal, bound)
                 assert cone.entries == koszul.entries, (text, k)
                 assert cone.multigraded == koszul.multigraded, (text, k)
