@@ -44,7 +44,6 @@ from .monomials import (
     MonomialIdeal,
     VariableUniverse,
     canonical_key,
-    colon,
     component,
     cover_ideal,
     monomials_of_degree,

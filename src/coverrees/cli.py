@@ -150,7 +150,7 @@ def cmd_analyze(args) -> int:
             "componentwise_by_degree": None,
         }
         if args.betti:
-            cw = is_componentwise_linear(pk, **_max_gens(args))
+            cw = cert.componentwise() if cert else is_componentwise_linear(pk, **_max_gens(args))
             entry["linear_resolution"] = cw.linear_resolution
             entry["componentwise_linear"] = cw.componentwise_linear
             entry["componentwise_by_degree"] = {

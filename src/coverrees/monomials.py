@@ -25,7 +25,6 @@ __all__ = [
     "VariableUniverse",
     "Monomial",
     "MonomialIdeal",
-    "colon",
     "cover_ideal",
     "power",
     "component",
@@ -152,9 +151,6 @@ class Monomial:
     def is_one(self) -> bool:
         return not self.total_degree
 
-    def exponent(self, name: str) -> int:
-        return self.exponents[self.universe.index_of(name)]
-
     def divides(self, other: "Monomial") -> bool:
         _same_universe(self, other)
         return self.total_degree <= other.total_degree and all(
@@ -241,11 +237,6 @@ def product(universe: VariableUniverse, factors: Iterable[Monomial]) -> Monomial
     for f in factors:
         out = out * f
     return out
-
-
-def colon(u: Monomial, v: Monomial) -> Monomial:
-    """u : v as monomials, i.e. u / gcd(u, v)."""
-    return u / u.gcd(v)
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(\d+))?$")

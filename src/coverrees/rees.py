@@ -64,23 +64,22 @@ def rees_presentation(
 ) -> ReesPresentation:
     """Present the Rees algebra of a nonzero monomial ideal.
 
-    Generators are sorted descending under lex on the base block, so the
-    first adjoined variable maps to the lex-largest generator.  The unit
-    ideal is allowed and flagged degenerate (single generator 1, empty
-    kernel).
+    ``MonomialIdeal`` holds its generators descending under lex on the
+    base block, so the first adjoined variable maps to the lex-largest
+    generator.  The unit ideal is allowed and flagged degenerate (single
+    generator 1, empty kernel).
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no Rees presentation")
     if ideal.universe.y_vars or ideal.universe.elim_var is not None:
         raise ValueError("the ideal must live in a base-block-only universe")
-    gens = sorted(ideal.gens, key=canonical_key, reverse=True)
     with_t = VariableUniverse(ideal.universe.s_vars, (), "t")
     t = with_t.monomial({"t": 1})
-    images = [g.restricted(with_t) * t for g in gens]
+    images = [g.restricted(with_t) * t for g in ideal.gens]
     basis = toric_kernel(images, degree_cap=degree_cap)
     return ReesPresentation(
         ideal=ideal,
-        generators=tuple(gens),
+        generators=ideal.gens,
         universe=basis.universe,
         basis=basis,
         degenerate=ideal.is_unit,

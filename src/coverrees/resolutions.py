@@ -9,22 +9,22 @@ degree and records the variables of each colon, so the mapping cone is a
 minimal resolution: beta_{i,i+d} is the sum of C(r_j, i) over the
 generators u_j of degree d with r_j colon variables, the multigraded
 shifts are u_j * x_F for the subsets F of those variables, and every
-truncation is a prefix of the order, so the ideal is componentwise
-linear (Herzog-Takayama; Jahan-Zheng).
+truncation is a prefix of the order, so the certificate alone decides
+componentwise linearity (Herzog-Takayama; Jahan-Zheng).
 
-When there is no order, Betti numbers are computed exactly: for every
-multidegree in the lcm lattice of the generators, the reduced homology of
-the upper Koszul simplicial complex is taken over the rationals, with
-ranks obtained by fraction-free integer elimination; linearity is read
-off the regularity (Eisenbud-Goto, J. Algebra 88, 1984: M_{>=r} has an
-r-linear resolution exactly when reg M <= r).
+Only where the search proves there is no order are Betti numbers computed
+from homology: for every multidegree in the lcm lattice of the
+generators, the reduced homology of the upper Koszul simplicial complex
+is taken over the rationals, with ranks obtained by fraction-free integer
+elimination; linearity is read off the regularity (Eisenbud-Goto, J.
+Algebra 88, 1984: M_{>=r} has an r-linear resolution exactly when
+reg M <= r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb
 
 from .errors import GeneratorLimitExceeded, LatticeLimitExceeded
 from .monomials import (
@@ -68,6 +68,14 @@ class LinearQuotientsCertificate:
     ordering: tuple[Monomial, ...]
     colon_variables: tuple[int, ...]
     method: str | None = None
+
+    def componentwise(self) -> "ComponentwiseReport":
+        """Componentwise linear at every degree of the ordering's span: an
+        order in nondecreasing degree generates each truncation by a
+        prefix, which keeps linear quotients (see ``is_componentwise_linear``)."""
+        degrees = [u.total_degree for u in self.ordering]
+        span = range(min(degrees, default=0), max(degrees, default=-1) + 1)
+        return ComponentwiseReport(True, dict.fromkeys(span, True))
 
 
 def _colon_masks(g: tuple[int, ...], u: tuple[int, ...]) -> tuple[int, int]:
@@ -249,7 +257,7 @@ def _int_rank(rows: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 # Upper Koszul complexes and Betti tables
 
-BETTI_MAX_GENERATORS, MAX_MULTIDEGREES = 18, 4096  # Betti-table bounds
+BETTI_MAX_GENERATORS, MAX_MULTIDEGREES = 18, 4096  # Betti-layer search, lcm lattice
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
@@ -322,14 +330,12 @@ def _reduced_homology_ranks(faces: dict[int, list[tuple[str, ...]]]) -> dict[int
 class BettiTable:
     """Multigraded Betti numbers, aggregated by (homological index, degree)."""
 
-    def __init__(
-        self,
-        entries: dict[tuple[int, int], int],
-        multigraded: dict[tuple[int, Monomial], int],
-        generator_count: int,
-    ):
-        self.entries = {k: v for k, v in entries.items() if v}
+    def __init__(self, multigraded: dict[tuple[int, Monomial], int], generator_count: int):
         self.multigraded = {k: v for k, v in multigraded.items() if v}
+        self.entries: dict[tuple[int, int], int] = {}
+        for (i, b), v in self.multigraded.items():
+            key = (i, b.total_degree)
+            self.entries[key] = self.entries.get(key, 0) + v
         self.generator_count = generator_count
 
     def beta(self, i: int, j: int) -> int:
@@ -370,14 +376,10 @@ def _mapping_cone_table(cert: LinearQuotientsCertificate) -> BettiTable:
     the lattice would; the 2^{r_j} shifts of one generator are distinct,
     so a single generator with more raises before they are enumerated.
     """
-    entries: dict[tuple[int, int], int] = {}
     multigraded: dict[tuple[int, Monomial], int] = {}
     shifts: set[Monomial] = set()
     for u, variables in zip(cert.ordering, cert.colon_variables):
         r = variables.bit_count()
-        for i in range(r + 1):
-            key = (i, u.total_degree + i)
-            entries[key] = entries.get(key, 0) + comb(r, i)
         if 1 << r > MAX_MULTIDEGREES:
             raise LatticeLimitExceeded(
                 f"{1 << r} Betti shifts of one generator exceed {MAX_MULTIDEGREES} multidegrees"
@@ -395,7 +397,7 @@ def _mapping_cone_table(cert: LinearQuotientsCertificate) -> BettiTable:
             subset = (subset - 1) & variables
         if len(shifts) > MAX_MULTIDEGREES:
             raise LatticeLimitExceeded(f"Betti shifts exceed {MAX_MULTIDEGREES} multidegrees")
-    return BettiTable(entries, multigraded, len(cert.ordering))
+    return BettiTable(multigraded, len(cert.ordering))
 
 
 def betti_table(
@@ -405,44 +407,34 @@ def betti_table(
     """Exact multigraded Betti numbers.
 
     From the mapping cone of the order ``find_linear_quotients_order``
-    finds; when it proves there is none, from upper Koszul homology.
+    finds; only when it proves there is none, from upper Koszul homology.
     ``max_generators`` bounds that search, so past it only the sweeps can
-    decide; the lattice bound applies only to Koszul homology.
+    decide and Koszul homology never runs; the lattice bound applies to
+    the Koszul tables, the shift bound to the mapping cone.
     """
     cert = find_linear_quotients_order(ideal.gens, max_generators)
     if cert is None:
-        return _koszul_betti_table(ideal, max_generators)
+        return _koszul_betti_table(ideal)
     return _mapping_cone_table(cert)
 
 
-def _koszul_betti_table(ideal: MonomialIdeal, max_generators: int) -> BettiTable:
+def _koszul_betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Exact multigraded Betti numbers via upper Koszul homology.
 
     Nonzero entries can only sit at lcm-lattice multidegrees, so only
-    those complexes are built.  Both resource bounds raise rather than
-    degrade.
+    those complexes are built.  Reached only where the search proved there
+    is no order, so at most its generator bound and never the zero ideal,
+    whose empty order is a certificate; the lattice bound raises rather
+    than degrade.
     """
-    if ideal.is_zero:
-        return BettiTable({}, {}, 0)
-    if len(ideal.gens) > max_generators:
-        raise GeneratorLimitExceeded(
-            f"{len(ideal.gens)} generators exceed the Betti bound {max_generators}"
-        )
-    entries: dict[tuple[int, int], int] = {}
     multigraded: dict[tuple[int, Monomial], int] = {}
     for b in lcm_lattice(ideal):
         faces = upper_koszul_faces(ideal, b)
         if -1 not in faces:
             raise AssertionError("lattice multidegree must lie in the ideal")
-        homology = _reduced_homology_ranks(faces)
-        for d, h in homology.items():
-            if h <= 0:
-                continue
-            i = d + 1
-            multigraded[(i, b)] = h
-            key = (i, b.total_degree)
-            entries[key] = entries.get(key, 0) + h
-    return BettiTable(entries, multigraded, len(ideal.gens))
+        for d, h in _reduced_homology_ranks(faces).items():
+            multigraded[(d + 1, b)] = h
+    return BettiTable(multigraded, len(ideal.gens))
 
 
 def has_linear_resolution(
@@ -463,7 +455,9 @@ class ComponentwiseReport:
     tested, and ``by_degree`` holds exactly those (none for the zero
     ideal); above the maximal one every component is the maximal ideal
     times the previous one, so linearity carries over.  By Eisenbud-Goto,
-    I_<j> = (I_<=j)_{>=j} is j-linear exactly when reg(I_<=j) <= j.
+    I_<j> = (I_<=j)_{>=j} is j-linear exactly when reg(I_<=j) <= j.  A
+    linear-quotients certificate gives the all-True report
+    (``LinearQuotientsCertificate.componentwise``).
     """
 
     componentwise_linear: bool
@@ -484,27 +478,28 @@ def is_componentwise_linear(
     generators of degree at most j (Eisenbud-Goto; Herzog-Hibi, Nagoya
     Math. J. 153, 1999).
 
-    When ``find_linear_quotients_order`` finds an order, each I_<=j is
-    generated by a prefix of it, which has linear quotients in
-    nondecreasing degree, so reg(I_<=j) <= j and no table is built.  When
-    it proves there is none, the truncations' Betti tables decide.
-    ``max_generators`` bounds that search, as in ``betti_table``.
+    The truncations are searched once each, from the top degree down.  The
+    first with a linear-quotients order decides its own degree and every
+    degree below: each lower truncation is generated by a prefix of that
+    order, which is nondecreasing in degree and so keeps linear quotients
+    (Jahan-Zheng, JCTA 117, 2010), giving reg(I_<=i) <= i.  Each truncation
+    above it has just been proved to have no order, so its Koszul table
+    gives its regularity.  A degree j without generators has
+    I_<=j = I_<=i for the generator degree i just below, so it is decided
+    by reg(I_<=i) <= j.  ``max_generators`` bounds each search, as in
+    ``betti_table``.
     """
-    if find_linear_quotients_order(ideal.gens, max_generators) is None:
-        return _componentwise_by_truncations(ideal, max_generators)
-    degrees = [g.total_degree for g in ideal.gens]
-    span = range(min(degrees, default=0), max(degrees, default=-1) + 1)
-    return ComponentwiseReport(True, dict.fromkeys(span, True))
-
-
-def _componentwise_by_truncations(ideal: MonomialIdeal, max_generators: int) -> ComponentwiseReport:
-    """The Betti table of I_<=j at each generator degree j; a degree without
-    generators keeps the verdict of the one below."""
-    degrees = {g.total_degree for g in ideal.gens}
+    regularity: dict[int, int | float] = {}  # bound on reg(I_<=j) per generator degree j
+    for j in sorted({g.total_degree for g in ideal.gens}, reverse=True):
+        gens = [g for g in ideal.gens if g.total_degree <= j]
+        cert = find_linear_quotients_order(gens, max_generators)
+        if cert is not None:
+            regularity.update((u.total_degree, u.total_degree) for u in cert.ordering)
+            break
+        regularity[j] = _koszul_betti_table(MonomialIdeal(ideal.universe, gens)).regularity()
     by_degree = {}
-    for j in range(min(degrees, default=0), max(degrees, default=-1) + 1):
-        if j in degrees:
-            gens = [g for g in ideal.gens if g.total_degree <= j]
-            table = betti_table(MonomialIdeal(ideal.universe, gens), max_generators)
-        by_degree[j] = table.regularity() <= j
+    for j in range(min(regularity, default=0), max(regularity, default=-1) + 1):
+        if j in regularity:
+            reg = regularity[j]
+        by_degree[j] = reg <= j
     return ComponentwiseReport(all(by_degree.values()), by_degree)

@@ -197,6 +197,42 @@ def test_analyze_computes_each_power_once(capsys, monkeypatch):
     assert calls == {"power": [1, 2, 3], "standard_monomials": [1, 2, 3]}
 
 
+def test_analyze_betti_searches_each_power_once(capsys, monkeypatch):
+    # every power of path:5 has linear quotients, so the CLI's certificate
+    # gives the componentwise verdict and the Betti layer searches nothing
+    from coverrees import resolutions
+
+    sizes = []
+    search = resolutions.find_linear_quotients_order
+
+    def counting(gens, *args, **kwargs):
+        sizes.append(len(gens))
+        return search(gens, *args, **kwargs)
+
+    for module in (cli_module, resolutions):
+        monkeypatch.setattr(module, "find_linear_quotients_order", counting)
+    code, out, _ = run(capsys, "analyze", "path:5", "-k", "3", "--betti")
+    assert code == 0
+    assert "all predicted properties verified" in out
+    assert len(sizes) == 3
+
+
+def test_analyze_betti_takes_the_cli_certificate(tmp_path, capsys):
+    # path:7 under the priority x3 > x7 > x4 > x5 > x2 > x1 > x6: the square
+    # has 22 generators, past the Betti layer's search bound of 18, and an
+    # order that only the search finds; the CLI's certificate decides it
+    graph = tmp_path / "path7.json"
+    edges = [[f"x{i}", f"x{i + 1}"] for i in range(1, 7)]
+    labels = ["x3", "x7", "x4", "x5", "x2", "x1", "x6"]
+    graph.write_text(json.dumps({"vertices": labels, "edges": edges}))
+    code, out, err = run(capsys, "analyze", str(graph), "-k", "2", "--betti")
+    assert code == 0, err
+    assert (
+        "k=2: generators=22 standard=25 minimal-generation=MISMATCH"
+        " linear-quotients=search linear-resolution=no componentwise-linear=yes"
+    ) in out.splitlines()
+
+
 def test_analyze_skips_predictions_for_degenerate_input(capsys):
     code, out, _ = run(capsys, "analyze", "edgeless:3")
     assert code == 0
@@ -262,9 +298,9 @@ def test_betti_of_power(tmp_path, capsys):
 
 
 def test_betti_past_the_koszul_bound(tmp_path, capsys):
-    # 36 generators exceed the Betti bound of 18, but the square of
-    # friendship:3 has linear quotients in nondecreasing degree, so the
-    # table comes from the mapping cone
+    # 36 generators exceed the Betti layer's search bound of 18, but a
+    # degree-sorted sweep gives the square of friendship:3 linear quotients,
+    # so the table comes from the mapping cone
     target = tmp_path / "r.json"
     code, _, _ = run(capsys, "--json", str(target), "betti", "friendship:3", "--power", "2")
     assert code == 0

@@ -11,7 +11,6 @@ from coverrees import (
     MonomialIdeal,
     VariableUniverse,
     canonical_key,
-    colon,
     component,
     cover_ideal,
     monomials_of_degree,
@@ -94,7 +93,7 @@ def test_monomial_degrees_by_block():
     assert m.y_degree == 3
     assert m.t_degree == 1
     assert m.total_degree == 7
-    assert m.exponent("y2") == 3 and m.exponent("y1") == 0
+    assert m.exps["y2"] == 3 and "y1" not in m.exps
 
 
 def test_degree_caches_stay_consistent():
@@ -234,22 +233,6 @@ def test_canonical_key_orders_blockwise():
     y_mon = u.monomial({"y1": 5})
     x_mon = u.monomial({"x1": 9})
     assert canonical_key(t_mon) > canonical_key(y_mon) > canonical_key(x_mon)
-
-
-def test_colon():
-    u = VariableUniverse(("x1", "x2", "x3"))
-    a = parse_monomial("x2^2", u)
-    b = parse_monomial("x1^2*x3^2", u)
-    assert colon(a, b) == a
-    assert colon(b, a) == b
-    c = parse_monomial("x1*x2", u)
-    assert colon(a, c) == parse_monomial("x2", u)
-    rng = random.Random(7007)
-    for _ in range(200):
-        uu = random_universe(rng)
-        m1 = random_monomial(rng, uu)
-        m2 = random_monomial(rng, uu)
-        assert colon(m1, m2) * m1.gcd(m2) == m1
 
 
 def test_product_helper():

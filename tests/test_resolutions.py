@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from coverrees import (
+    ComponentwiseReport,
     GeneratorLimitExceeded,
     LatticeLimitExceeded,
     LinearQuotientsCertificate,
@@ -16,6 +17,7 @@ from coverrees import (
     component,
     cover_ideal,
     find_linear_quotients_order,
+    graph_from_json,
     has_linear_resolution,
     is_componentwise_linear,
     parse_construction,
@@ -338,14 +340,14 @@ def test_degree_block_search_decides_large_powers():
 
 def test_betti_layer_takes_the_search_order(monkeypatch):
     # cycle:7 squared: 28 generators of degree 8, both sweeps fail and the
-    # search finds an order, so no truncation or Koszul table is built
+    # search finds an order, so no Koszul table is built
     ideal = power(cover_ideal(parse_construction("cycle:7")), 2)
     assert len(ideal.gens) == 28
     cert = find_linear_quotients_order(ideal.gens, max_generators=28)
     assert cert is not None and cert.method == "search"
+    assert cert.componentwise() == ComponentwiseReport(True, {8: True})
     with monkeypatch.context() as patch:
         patch.setattr(resolutions, "_koszul_betti_table", None)
-        patch.setattr(resolutions, "_componentwise_by_truncations", None)
         assert is_componentwise_linear(ideal, max_generators=28).linear_resolution
         table = betti_table(ideal, max_generators=28)
     ordered = [dict(m.exps) for m in cert.ordering]
@@ -432,8 +434,8 @@ def test_betti_table_interface():
 
 
 def test_betti_respects_generator_bound():
-    # no order of the two disjoint quadrics has linear quotients, so the
-    # Koszul fallback runs and its generator bound applies
+    # no order of the two disjoint quadrics has linear quotients, so only
+    # the search decides, and its generator bound applies
     c4 = cover_ideal(standard_family("cycle", 4))
     with pytest.raises(GeneratorLimitExceeded):
         betti_table(c4, max_generators=1)
@@ -621,19 +623,35 @@ def test_componentwise_bounds_propagate():
     assert is_componentwise_linear(tri, max_generators=2).by_degree == {2: True}
 
 
-def test_mapping_cone_agrees_with_koszul_homology(monkeypatch):
+def _koszul_componentwise(ideal):
+    """reg(I_<=j) <= j from the Koszul table of every truncation; a degree
+    without generators keeps the table of the generator degree below."""
+    degrees = {g.total_degree for g in ideal.gens}
+    by_degree = {}
+    for j in range(min(degrees, default=0), max(degrees, default=-1) + 1):
+        if j in degrees:
+            gens = [g for g in ideal.gens if g.total_degree <= j]
+            table = resolutions._koszul_betti_table(MonomialIdeal(ideal.universe, gens))
+        by_degree[j] = table.regularity() <= j
+    return ComponentwiseReport(all(by_degree.values()), by_degree)
+
+
+def test_mapping_cone_agrees_with_koszul_homology():
     # every power k <= 3 of the graphs above within the Koszul bounds: the
     # mapping-cone table equals the Koszul one, graded and multigraded, and
-    # the verdict from the certificate equals the truncation/Koszul verdict
+    # the verdict from the certificate equals the Koszul verdict on every
+    # truncation
     bound = resolutions.BETTI_MAX_GENERATORS
     graphs = dict.fromkeys(text for text, _ in HERZOG_TAKAYAMA_CASES + COMPONENTWISE_CASES)
     tables = verdicts = 0
     for text in graphs:
         for k in (1, 2, 3):
             ideal = power(cover_ideal(parse_construction(text)), k)
+            if len(ideal.gens) > bound:
+                continue
             try:
-                koszul = resolutions._koszul_betti_table(ideal, bound)
-            except (GeneratorLimitExceeded, LatticeLimitExceeded):
+                koszul = resolutions._koszul_betti_table(ideal)
+            except LatticeLimitExceeded:
                 continue
             if find_linear_quotients_order(ideal.gens, bound) is not None:
                 cone = betti_table(ideal, bound)
@@ -641,9 +659,59 @@ def test_mapping_cone_agrees_with_koszul_homology(monkeypatch):
                 assert cone.multigraded == koszul.multigraded, (text, k)
                 tables += 1
             fast = is_componentwise_linear(ideal, bound)
-            with monkeypatch.context() as patch:
-                patch.setattr(resolutions, "betti_table", resolutions._koszul_betti_table)
-                slow = resolutions._componentwise_by_truncations(ideal, bound)
-            assert fast == slow, (text, k)
+            assert fast == _koszul_componentwise(ideal), (text, k)
             verdicts += 1
     assert (tables, verdicts) == (21, 33)
+
+
+def test_each_truncation_is_searched_once(monkeypatch):
+    # searched and Koszul generator counts, top truncation first.  cycle:6:
+    # neither the ideal (5 generators, degrees 3 and 4) nor its degree-3
+    # truncation x1x3x5, x2x4x6 has an order, so Koszul tables decide both.
+    # x1x2, x1x3, x4^3x5: the ideal has no order, its degree-2 truncation
+    # has one, which decides degrees 2 and 3 without a table
+    searched, koszul = [], []
+    search, table = resolutions.find_linear_quotients_order, resolutions._koszul_betti_table
+
+    def counting_search(gens, *args, **kwargs):
+        searched.append(len(gens))
+        return search(gens, *args, **kwargs)
+
+    def counting_table(ideal):
+        koszul.append(len(ideal.gens))
+        return table(ideal)
+
+    monkeypatch.setattr(resolutions, "find_linear_quotients_order", counting_search)
+    monkeypatch.setattr(resolutions, "_koszul_betti_table", counting_table)
+    cases = [
+        (cover_ideal(parse_construction("cycle:6")), [5, 2], [5, 2]),
+        (_ideal(U5, "x1*x2", "x1*x3", "x4^3*x5"), [3, 2], [3]),
+    ]
+    for ideal, searches, tables in cases:
+        searched.clear()
+        koszul.clear()
+        rep = is_componentwise_linear(ideal)
+        assert (searched, koszul) == (searches, tables)
+        assert rep == _koszul_componentwise(ideal)
+    assert rep.by_degree == {2: True, 3: True, 4: False}
+
+
+def test_degree_without_generators_reads_the_regularity_below():
+    # a degree j without generators has I_<=j = I_<=i for the generator
+    # degree i below, so reg(I_<=i) <= j decides it, not the verdict at i:
+    # x1x2, x3x4 has regularity 3, so degree 3 is linear, degree 2 is not
+    ideal = _ideal(U5, "x1*x2", "x3*x4", "x5^4")
+    rep = is_componentwise_linear(ideal)
+    assert rep.by_degree == {2: False, 3: True, 4: False}
+    assert rep == _koszul_componentwise(ideal)
+    assert rep.by_degree == componentwise_by_degree(ideal)
+    # the cover ideal of a 4-cycle beside a 3-star: its degree-3 truncation
+    # c * (x1x3, x2x4) has regularity 4
+    disjoint = graph_from_json(
+        '{"vertices": ["x1", "x2", "x3", "x4", "c", "a", "b", "d"], "edges": '
+        '[["x1", "x2"], ["x2", "x3"], ["x3", "x4"], ["x4", "x1"], ["c", "a"], ["c", "b"], ["c", "d"]]}'
+    )
+    ideal = cover_ideal(disjoint)
+    rep = is_componentwise_linear(ideal)
+    assert rep.by_degree == {3: False, 4: True, 5: False}
+    assert rep == _koszul_componentwise(ideal)
