@@ -20,8 +20,7 @@ kernel under the same order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import compress
 from operator import lshift, mul, not_, or_
 from typing import Iterable, Sequence
@@ -50,30 +49,36 @@ __all__ = [
 ]
 
 
-# (lead exponents, trail exponents)
-_Rule = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
 class Binomial:
-    """lead - trail; ``oriented_binomial`` makes the larger term the lead."""
+    """lead - trail; ``oriented_binomial`` makes the larger term the lead.
 
-    lead: Monomial
-    trail: Monomial
+    A value type like ``Monomial``: equal and hashed by its two terms, with
+    no guard against assignment.  ``_rule`` is the rewrite lead -> trail
+    on raw exponent tuples.
+    """
 
-    def __post_init__(self):
-        if self.lead.universe != self.trail.universe:
+    __slots__ = ("lead", "trail", "_rule")
+
+    def __init__(self, lead: Monomial, trail: Monomial):
+        if lead.universe != trail.universe:
             raise ValueError("binomial terms live in different universes")
-        if self.lead == self.trail:
+        if lead == trail:
             raise ValueError("binomial would be zero")
+        self.lead = lead
+        self.trail = trail
+        self._rule = (lead.exponents, trail.exponents)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Binomial) and self.lead == other.lead and self.trail == other.trail
+
+    def __hash__(self) -> int:
+        return hash(self._rule)
 
     def __str__(self) -> str:
         return f"{self.lead} - {self.trail}"
 
-    @cached_property
-    def _rule(self) -> _Rule:
-        """The rewrite lead -> trail on raw exponent tuples."""
-        return self.lead.exponents, self.trail.exponents
+    def __repr__(self) -> str:
+        return f"Binomial({self})"
 
 
 def oriented_binomial(u: Monomial, v: Monomial) -> Binomial | None:
@@ -83,19 +88,33 @@ def oriented_binomial(u: Monomial, v: Monomial) -> Binomial | None:
     return Binomial(u, v) if u.exponents > v.exponents else Binomial(v, u)
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    universe: VariableUniverse
-    elements: tuple[Binomial, ...]
+    """A reduced basis: its elements ascending by lead, over one universe.
+
+    A plain record compared by identity, with no guard against assignment;
+    ``initial_ideal`` is computed once per basis.
+    """
+
+    __slots__ = ("universe", "elements", "_initial_ideal")
+
+    def __init__(self, universe: VariableUniverse, elements: tuple[Binomial, ...]):
+        self.universe = universe
+        self.elements = elements
+        self._initial_ideal = None
 
     def dump(self) -> str:
         """One ``lead - trail`` line per element, in the canonical order."""
         return "\n".join(str(b) for b in self.elements)
 
-    @cached_property
+    @property
     def initial_ideal(self) -> MonomialIdeal:
-        """The ideal of lead monomials, computed once per basis."""
-        return MonomialIdeal(self.universe, (e.lead for e in self.elements))
+        """The ideal of lead monomials."""
+        if self._initial_ideal is None:
+            self._initial_ideal = MonomialIdeal(self.universe, (e.lead for e in self.elements))
+        return self._initial_ideal
+
+    def __repr__(self) -> str:
+        return f"GroebnerBasis({self.universe!r}, {len(self.elements)} elements)"
 
 
 def _rewrite_once(m: tuple[int, ...], index: _LeadIndex) -> tuple[int, ...] | None:

@@ -150,7 +150,10 @@ def cmd_analyze(args) -> int:
             "componentwise_by_degree": None,
         }
         if args.betti:
-            cw = cert.componentwise() if cert else is_componentwise_linear(pk, **_max_gens(args))
+            # a failed search above proved pk has no order; the unit ideal skipped it
+            cw = cert.componentwise() if cert else is_componentwise_linear(
+                pk, **_max_gens(args), _no_order=not degenerate
+            )
             entry["linear_resolution"] = cw.linear_resolution
             entry["componentwise_linear"] = cw.componentwise_linear
             entry["componentwise_by_degree"] = {

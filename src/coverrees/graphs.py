@@ -40,7 +40,7 @@ class Graph:
     and by the coned families.
     """
 
-    __slots__ = ("labels", "edges", "parts", "_adjacency", "_position")
+    __slots__ = ("labels", "edges", "parts", "_adjacency")
 
     def __init__(
         self,
@@ -54,7 +54,6 @@ class Graph:
             if lbl in position:
                 raise ValueError(f"duplicate vertex label {lbl!r}")
             position[lbl] = i
-        self._position = position
         adjacency: dict[str, set[str]] = {lbl: set() for lbl in self.labels}
         canon = set()
         for a, b in edges:
@@ -79,9 +78,6 @@ class Graph:
             self.parts = (x_part, y_part)
         else:
             self.parts = None
-
-    def position(self, label: str) -> int:
-        return self._position[label]
 
     def neighbors(self, label: str) -> set[str]:
         return set(self._adjacency[label])

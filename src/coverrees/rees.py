@@ -14,8 +14,6 @@ y-block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .binomial_gb import DEGREE_CAP, GroebnerBasis, toric_kernel
 from .monomials import (
     Monomial,
@@ -39,24 +37,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ReesPresentation:
     """A monomial ideal together with the reduced basis of its Rees kernel.
 
     ``generators[j-1]`` is the image monomial of ``y<j>``; ``universe`` is
     the presentation ring (base block plus y-block); ``degenerate`` flags
-    the unit ideal, whose kernel is zero.
+    the unit ideal, whose kernel is zero.  A plain record compared by
+    identity, with no guard against assignment.
     """
 
-    ideal: MonomialIdeal
-    generators: tuple[Monomial, ...]
-    universe: VariableUniverse
-    basis: GroebnerBasis
-    degenerate: bool
+    __slots__ = ("ideal", "generators", "universe", "basis", "degenerate")
+
+    def __init__(
+        self,
+        ideal: MonomialIdeal,
+        generators: tuple[Monomial, ...],
+        universe: VariableUniverse,
+        basis: GroebnerBasis,
+        degenerate: bool,
+    ):
+        self.ideal = ideal
+        self.generators = generators
+        self.universe = universe
+        self.basis = basis
+        self.degenerate = degenerate
 
     @property
     def y_count(self) -> int:
         return len(self.generators)
+
+    def __repr__(self) -> str:
+        return f"ReesPresentation({self.y_count} generators, {self.basis!r})"
 
 
 def rees_presentation(
@@ -86,15 +97,39 @@ def rees_presentation(
     )
 
 
-@dataclass(frozen=True)
 class XConditionReport:
-    """Verdicts about the minimal generators of the initial ideal."""
+    """Verdicts about the minimal generators of the initial ideal; equal
+    when every field is, unhashable, with no guard against assignment."""
 
-    holds: bool
-    offending_generators: tuple[Monomial, ...]
-    quadratic: bool
-    quadratic_offenders: tuple[Monomial, ...]
-    initial_generators: tuple[Monomial, ...]
+    __slots__ = (
+        "holds",
+        "offending_generators",
+        "quadratic",
+        "quadratic_offenders",
+        "initial_generators",
+    )
+
+    def __init__(
+        self,
+        holds: bool,
+        offending_generators: tuple[Monomial, ...],
+        quadratic: bool,
+        quadratic_offenders: tuple[Monomial, ...],
+        initial_generators: tuple[Monomial, ...],
+    ):
+        self.holds = holds
+        self.offending_generators = offending_generators
+        self.quadratic = quadratic
+        self.quadratic_offenders = quadratic_offenders
+        self.initial_generators = initial_generators
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, XConditionReport) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+    def __repr__(self) -> str:
+        return f"XConditionReport(holds={self.holds}, quadratic={self.quadratic})"
 
 
 def x_condition(p: ReesPresentation) -> XConditionReport:
@@ -111,18 +146,26 @@ def x_condition(p: ReesPresentation) -> XConditionReport:
     )
 
 
-@dataclass(frozen=True)
 class StandardMonomialSet:
     """Degree-k monomials in the y-block outside the initial ideal.
 
     ``members`` are sorted ascending (lex on the y-block) and
     ``mapped_generators[i]`` is the image of ``members[i]`` in the base
-    ring.
+    ring.  A plain record compared by identity, with no guard against
+    assignment.
     """
 
-    k: int
-    members: tuple[Monomial, ...]
-    mapped_generators: tuple[Monomial, ...]
+    __slots__ = ("k", "members", "mapped_generators")
+
+    def __init__(
+        self, k: int, members: tuple[Monomial, ...], mapped_generators: tuple[Monomial, ...]
+    ):
+        self.k = k
+        self.members = members
+        self.mapped_generators = mapped_generators
+
+    def __repr__(self) -> str:
+        return f"StandardMonomialSet(k={self.k}, {len(self.members)} members)"
 
 
 def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:

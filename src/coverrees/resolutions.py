@@ -23,7 +23,6 @@ reg M <= r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import GeneratorLimitExceeded, LatticeLimitExceeded
@@ -53,7 +52,6 @@ __all__ = [
 # Linear quotients
 
 
-@dataclass
 class LinearQuotientsCertificate:
     """An order of the generators with linear quotients: for each j the
     colon ideal (u_1, ..., u_{j-1}) : u_j is generated by variables.
@@ -63,11 +61,32 @@ class LinearQuotientsCertificate:
     exponent positions, of the variables generating the colon at position
     j, so r_j is its popcount.  ``method`` names the rule that found it
     ("ascending", "descending" or "search"), None from a direct check.
+    Equal when every field is; unhashable, like ``ComponentwiseReport``.
     """
 
-    ordering: tuple[Monomial, ...]
-    colon_variables: tuple[int, ...]
-    method: str | None = None
+    __slots__ = ("ordering", "colon_variables", "method")
+
+    def __init__(
+        self,
+        ordering: tuple[Monomial, ...],
+        colon_variables: tuple[int, ...],
+        method: str | None = None,
+    ):
+        self.ordering = ordering
+        self.colon_variables = colon_variables
+        self.method = method
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, LinearQuotientsCertificate)
+            and self.ordering == other.ordering
+            and self.colon_variables == other.colon_variables
+            and self.method == other.method
+        )
+
+    def __repr__(self) -> str:
+        order = ", ".join(map(str, self.ordering))
+        return f"LinearQuotientsCertificate([{order}], method={self.method!r})"
 
     def componentwise(self) -> "ComponentwiseReport":
         """Componentwise linear at every degree of the ordering's span: an
@@ -147,7 +166,7 @@ def find_linear_quotients_order(
     for ordering, method in ((pool, "ascending"), (list(reversed(pool)), "descending")):
         result = check_linear_quotients(sorted(ordering, key=lambda m: m.total_degree))
         if isinstance(result, LinearQuotientsCertificate):
-            return replace(result, method=method)
+            return LinearQuotientsCertificate(result.ordering, result.colon_variables, method)
     if len(pool) > max_generators:
         raise GeneratorLimitExceeded(
             f"{len(pool)} generators exceed the search bound {max_generators}"
@@ -179,7 +198,7 @@ def _degree_block_search(pool: list[Monomial]) -> LinearQuotientsCertificate | N
         order += block
     result = check_linear_quotients([pool[i] for i in order])
     assert isinstance(result, LinearQuotientsCertificate)
-    return replace(result, method="search")
+    return LinearQuotientsCertificate(result.ordering, result.colon_variables, "search")
 
 
 def _block_order(block: list[int], below: list[int], masks) -> list[int] | None:
@@ -422,10 +441,10 @@ def _koszul_betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Exact multigraded Betti numbers via upper Koszul homology.
 
     Nonzero entries can only sit at lcm-lattice multidegrees, so only
-    those complexes are built.  Reached only where the search proved there
-    is no order, so at most its generator bound and never the zero ideal,
-    whose empty order is a certificate; the lattice bound raises rather
-    than degrade.
+    those complexes are built.  Reached only where a search proved there
+    is no order, so at most that search's generator bound and never the
+    zero ideal, whose empty order is a certificate; the lattice bound
+    raises rather than degrade.
     """
     multigraded: dict[tuple[int, Monomial], int] = {}
     for b in lcm_lattice(ideal):
@@ -447,7 +466,6 @@ def has_linear_resolution(
     return is_componentwise_linear(ideal, max_generators).linear_resolution
 
 
-@dataclass
 class ComponentwiseReport:
     """Per-degree linearity of components over the generator-degree range.
 
@@ -457,11 +475,25 @@ class ComponentwiseReport:
     times the previous one, so linearity carries over.  By Eisenbud-Goto,
     I_<j> = (I_<=j)_{>=j} is j-linear exactly when reg(I_<=j) <= j.  A
     linear-quotients certificate gives the all-True report
-    (``LinearQuotientsCertificate.componentwise``).
+    (``LinearQuotientsCertificate.componentwise``).  Equal when both
+    fields are; unhashable, as ``by_degree`` is a dict.
     """
 
-    componentwise_linear: bool
-    by_degree: dict[int, bool]
+    __slots__ = ("componentwise_linear", "by_degree")
+
+    def __init__(self, componentwise_linear: bool, by_degree: dict[int, bool]):
+        self.componentwise_linear = componentwise_linear
+        self.by_degree = by_degree
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ComponentwiseReport)
+            and self.componentwise_linear == other.componentwise_linear
+            and self.by_degree == other.by_degree
+        )
+
+    def __repr__(self) -> str:
+        return f"ComponentwiseReport({self.componentwise_linear}, {self.by_degree})"
 
     @property
     def linear_resolution(self) -> bool:
@@ -473,6 +505,8 @@ class ComponentwiseReport:
 def is_componentwise_linear(
     ideal: MonomialIdeal,
     max_generators: int = BETTI_MAX_GENERATORS,
+    *,
+    _no_order: bool = False,
 ) -> ComponentwiseReport:
     """reg(I_<=j) <= j at each generator degree j, I_<=j generated by the
     generators of degree at most j (Eisenbud-Goto; Herzog-Hibi, Nagoya
@@ -487,12 +521,15 @@ def is_componentwise_linear(
     gives its regularity.  A degree j without generators has
     I_<=j = I_<=i for the generator degree i just below, so it is decided
     by reg(I_<=i) <= j.  ``max_generators`` bounds each search, as in
-    ``betti_table``.
+    ``betti_table``.  ``_no_order`` says the caller's own search has
+    already proved that the ideal itself, the top truncation, has no
+    order, so the searches start at the next truncation down.
     """
     regularity: dict[int, int | float] = {}  # bound on reg(I_<=j) per generator degree j
     for j in sorted({g.total_degree for g in ideal.gens}, reverse=True):
         gens = [g for g in ideal.gens if g.total_degree <= j]
-        cert = find_linear_quotients_order(gens, max_generators)
+        top = len(gens) == len(ideal.gens)
+        cert = None if _no_order and top else find_linear_quotients_order(gens, max_generators)
         if cert is not None:
             regularity.update((u.total_degree, u.total_degree) for u in cert.ordering)
             break

@@ -42,11 +42,24 @@ def test_binomial_construction():
     b = _mk("x2*y2", u)
     binom = Binomial(a, b)
     assert str(binom) == "x1*y1 - x2*y2"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero"):
         Binomial(a, a)
     other = VariableUniverse(("x1",), ("y1",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different universes"):
         Binomial(a, _mk("y1", other))
+
+
+def test_binomial_value_semantics():
+    # equal and hashed by the two terms, so buchberger's ``in`` dedupes inputs
+    u = VariableUniverse(("x1", "x2"), ("y1", "y2"))
+    a, b = _mk("x1*y1", u), _mk("x2*y2", u)
+    binom = Binomial(a, b)
+    same = Binomial(lead=_mk("x1*y1", u), trail=_mk("x2*y2", u))
+    assert binom == same and hash(binom) == hash(same)
+    assert len({binom, same}) == 1
+    assert binom != Binomial(b, a) and binom != "x1*y1 - x2*y2"
+    assert repr(binom) == "Binomial(x1*y1 - x2*y2)"
+    assert len(buchberger([binom, same]).elements) == 1
 
 
 def test_oriented_binomial():

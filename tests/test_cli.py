@@ -198,8 +198,11 @@ def test_analyze_computes_each_power_once(capsys, monkeypatch):
 
 
 def test_analyze_betti_searches_each_power_once(capsys, monkeypatch):
-    # every power of path:5 has linear quotients, so the CLI's certificate
-    # gives the componentwise verdict and the Betti layer searches nothing
+    # searched generator counts at both call sites.  Every power of path:5
+    # has linear quotients, so the CLI's certificate gives the componentwise
+    # verdict and the Betti layer searches nothing.  cycle:6 has no order:
+    # the CLI's search proved it, so the Betti layer takes the ideal's
+    # Koszul table and searches only its degree-3 truncation
     from coverrees import resolutions
 
     sizes = []
@@ -214,7 +217,12 @@ def test_analyze_betti_searches_each_power_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", "path:5", "-k", "3", "--betti")
     assert code == 0
     assert "all predicted properties verified" in out
-    assert len(sizes) == 3
+    assert sizes == [4, 9, 16]
+    sizes.clear()
+    code, out, _ = run(capsys, "analyze", "cycle:6", "-k", "1", "--betti")
+    assert code == 0
+    assert "linear-quotients=none linear-resolution=no componentwise-linear=no" in out
+    assert sizes == [5, 2]
 
 
 def test_analyze_betti_takes_the_cli_certificate(tmp_path, capsys):
@@ -370,22 +378,24 @@ def test_bounds_below_one_are_usage_errors(capsys):
 
 
 def test_resource_bounds_exit_3(capsys):
-    # no order of cycle:4's generators has linear quotients, so the Koszul
-    # fallback runs under the bound
+    # no order of cycle:4's generators has linear quotients, so the Betti
+    # table needs the search, whose bound its 2 generators exceed
     code, _, err = run(capsys, "--max-gens", "1", "betti", "cycle:4")
     assert code == 3
     assert "resource bound exceeded" in err
+    assert "exceed the search bound" in err
     # the triangle has linear quotients: its mapping cone needs no bound
     assert run(capsys, "--max-gens", "1", "betti", "complete:3")[0] == 0
     # the bound guards only the search, which cycle:4 needs: no cheap order works
     assert run(capsys, "--max-gens", "1", "analyze", "cycle:4")[0] == 3
     assert run(capsys, "--gb-degree-cap", "1", "rees", "path:2")[0] == 3
-    # the Betti layer's search for an order of a power without linear
-    # quotients trips the default generator bound instead of degrading
-    # silently
+    # the CLI's search (bound 24) proves that cycle:6 cubed, 22 generators,
+    # has no order; the Betti layer takes the cube's Koszul table and its
+    # search of the degree-11 truncation trips its default generator bound
+    # instead of degrading silently
     code, _, err = run(capsys, "analyze", "cycle:6", "-k", "3", "--betti")
     assert code == 3
-    assert "22 generators exceed the search bound 18" in err
+    assert "19 generators exceed the search bound 18" in err
     # path:7 squared has linear quotients, so its 22 generators decide
     code, out, _ = run(capsys, "analyze", "path:7", "-k", "2", "--betti")
     assert code == 0
@@ -414,3 +424,25 @@ def test_internal_key_error_is_not_an_input_error(monkeypatch, capsys):
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_import_stays_light():
+    # the package's records are __slots__ classes, so importing the CLI pulls
+    # in none of the modules behind dataclasses
+    import os
+    import subprocess
+    import sys
+
+    import coverrees
+
+    src = os.path.dirname(os.path.dirname(coverrees.__file__))
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    code = (
+        "import sys; before = set(sys.modules); import coverrees.cli; "
+        f"print(sorted((set(sys.modules) - before) & set({heavy!r})))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

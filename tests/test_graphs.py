@@ -40,7 +40,6 @@ def test_build_graph_basics():
     assert g.neighbors("b") == {"a", "c"}
     assert g.has_edge("a", "b") and g.has_edge("b", "a")
     assert not g.has_edge("a", "c")
-    assert g.position("c") == 2
     assert g.n_vertices == 3 and g.n_edges == 2
 
 

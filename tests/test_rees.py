@@ -24,7 +24,7 @@ from coverrees import (
     parse_construction,
     x_condition,
 )
-from coverrees.rees import pi_image
+from coverrees.rees import XConditionReport, pi_image
 from oracles import split_fibers
 
 
@@ -322,3 +322,15 @@ def test_sixteen_and_seventeen_cover_kernels_certify():
         assert report.holds and report.quadratic, text
         assert len(p.basis.elements) == size, text
         assert split_fibers(*_fiber_inputs(p)) == [], text
+
+
+def test_x_condition_report_equality():
+    # reports of two presentations of one ideal are equal field by field
+    first = x_condition(_present(standard_family("path", 4)))
+    again = x_condition(_present(standard_family("path", 4)))
+    assert first is not again and first == again
+    fields = (first.holds, (), first.quadratic, (), first.initial_generators)
+    assert first == XConditionReport(*fields)
+    assert first != XConditionReport(False, *fields[1:])
+    assert first != x_condition(_present(standard_family("cycle", 5)))
+    assert repr(first) == "XConditionReport(holds=True, quadratic=True)"

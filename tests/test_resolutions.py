@@ -715,3 +715,23 @@ def test_degree_without_generators_reads_the_regularity_below():
     rep = is_componentwise_linear(ideal)
     assert rep.by_degree == {3: False, 4: True, 5: False}
     assert rep == _koszul_componentwise(ideal)
+
+
+def test_certificate_and_report_equality():
+    # both records are equal field by field; the method is a field, so a
+    # direct check (method None) differs from the sweep that found the order
+    ideal = _ideal(U5, "x1*x2", "x1*x3", "x2*x3")
+    cert = find_linear_quotients_order(ideal.gens)
+    again = find_linear_quotients_order(ideal.gens)
+    assert cert is not again and cert == again
+    direct = check_linear_quotients(cert.ordering)
+    assert direct == LinearQuotientsCertificate(cert.ordering, cert.colon_variables)
+    assert direct != cert
+    assert LinearQuotientsCertificate(cert.ordering, cert.colon_variables, cert.method) == cert
+    report = cert.componentwise()
+    assert report == ComponentwiseReport(True, {2: True})
+    assert report != ComponentwiseReport(True, {2: False})
+    assert report != ComponentwiseReport(False, {2: True})
+    assert repr(report) == "ComponentwiseReport(True, {2: True})"
+    with pytest.raises(TypeError):
+        hash(report)
