@@ -20,9 +20,8 @@ kernel under the same order.
 from __future__ import annotations
 
 import heapq
-from functools import reduce
 from itertools import compress
-from operator import lshift, mul, not_, or_
+from operator import lshift, mul
 from typing import Iterable, Sequence
 
 from .errors import DegreeCapExceeded
@@ -139,7 +138,7 @@ def _term(universe: VariableUniverse, exponents: tuple[int, ...]) -> Monomial:
 
 
 def reduce_binomial(
-    b: Binomial, elements: Sequence[Binomial] | _LeadIndex
+    b: Binomial, elements: Sequence[Binomial] | _LeadIndex, *, toric: bool = False
 ) -> Binomial | None:
     """Full normal form of a binomial; None when it reduces to zero.
 
@@ -147,7 +146,8 @@ def reduce_binomial(
     or an index a caller keeps across reductions.  Both terms are
     rewritten until neither is divisible by any lead.  Each rewrite
     strictly decreases the rewritten term, so the loop terminates; when
-    the terms collide the binomial cancels.
+    the terms collide the binomial cancels.  With ``toric`` it also stops
+    with None once the terms share a variable (the lemma in ``buchberger``).
     """
     p, q = b.lead.exponents, b.trail.exponents
     if isinstance(elements, _LeadIndex):
@@ -155,6 +155,8 @@ def reduce_binomial(
     else:
         index = _LeadIndex(len(p), (e._rule for e in elements))
     while True:
+        if toric and any(map(mul, p, q)):
+            return None
         r = _rewrite_once(p, index)
         if r is None:
             r = _rewrite_once(q, index)
@@ -211,6 +213,7 @@ def buchberger(
     *,
     degree_cap: int = DEGREE_CAP,
     weights: Sequence[int] | None = None,
+    toric: bool = False,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal the generators span.
 
@@ -221,10 +224,11 @@ def buchberger(
     terms; the S-pair of f and g with lead lcm l has sugar
     max(sug f + w(l) - w(lead f), sug g + w(l) - w(lead g)); a new element
     keeps its pair's sugar, raised to its own weighted degree if that is
-    larger.  Pairs wait in a heap keyed ``(sugar, lcm, i, j)``, the lcm
-    packed into one int that orders like its exponent tuple (see below).
-    On input homogeneous in the grading the sugar is the weighted degree
-    of the lcm; on any other input it is still a valid selection order.
+    larger.  Pairs wait in a heap of ints, each (sugar, lcm, i, j) packed
+    to order like that tuple: the packed lcm (see below), then 32 bits for
+    each of i < j.  On input homogeneous in the grading the sugar is the
+    weighted degree of the lcm; on any other input it is still a valid
+    selection order.
 
     Each inserted element h runs the Gebauer-Moeller update ("On an
     installation of Buchberger's algorithm", 1988) on its new pairs
@@ -232,32 +236,40 @@ def buchberger(
     dropped (criterion M), one pair per lcm is kept (criterion F), and an
     lcm reached by a pair with coprime leads keeps no pair.  New pairs
     are formed, and reductions run, only with elements whose lead no
-    later lead divides.  Criterion B is checked when a pair (i, j) is
-    popped: it is dropped when the lead of some element h > j, live or
-    not, divides its lcm and differs from both lcm(i, h) and lcm(j, h).
-    That condition depends only on the three leads, and the elements
-    above j are exactly those inserted while the pair waited, so this
-    drops the pairs an update of the waiting pairs on each insertion
-    would.  An element of total degree above ``degree_cap`` aborts the
-    run with ``DegreeCapExceeded``.
+    later lead divides.  An element of total degree above ``degree_cap``
+    aborts the run with ``DegreeCapExceeded``.
+
+    ``toric`` declares the ideal J prime and free of monomials, as the
+    ideal of a monomial map is, and requires every generator homogeneous
+    in the grading (else ``ValueError``).  Then a binomial whose two terms
+    share a variable needs no reduction, the gcd criterion of lattice
+    ideals (Hemmecke-Malkin, J. Symb. Comp. 44, 2009): such an S-binomial
+    is never queued, and a reduction stops once its terms share one.
+    Proof: pairs are taken by increasing weighted degree d, so when one
+    of degree d is taken the basis is a Groebner basis of J below degree
+    d.  Let S = m*S' with m != 1, S an S-binomial or a partial reduction
+    of one.  J is prime and m is not in J, so S' lies in J, and has
+    degree < d, so it has a standard representation; times m, that
+    represents S below the lcm of its pair.
 
     The pair update runs on packed exponent words: with top the larger of
     ``degree_cap`` and the total degree of every input term, each
     variable gets a field of top.bit_length() + 1 bits, the first
     variable in the most significant one, so int order is the lex order
     of the tuples.  The cap check before every insertion keeps each field
-    of a lead, of an lcm of two leads and of a quotient at most top, so
+    of a term, of an lcm of two leads and of a quotient at most top, so
     the top (guard) bit of every field stays clear and field arithmetic
     never borrows or carries across fields.  The new lcms are keyed by
     their quotient lcm / lead h, whose total degree, the remainder modulo
-    2^width - 1, orders criterion M.
+    2^width - 1, orders criterion M.  The support of a word x is the
+    guard bits ((x | G) - ONES) & G of its nonzero fields; the terms of
+    the S-binomial of (g, h) have those of lcm / lead g and lcm / lead h
+    joined with the trail supports each element keeps as one mask.
 
     The live elements form one lead index that every reduction reads: an
     inserted element adds its bit and retires the elements whose lead its
     own divides.  The index yields the live divisor of lowest basis index,
     the rule a scan over the live elements in order would pick first.
-    Retired elements keep their bits in ``has``, which also yields the
-    candidates h of criterion B.
     """
     inputs: list[Binomial] = []
     universe: VariableUniverse | None = None
@@ -280,29 +292,37 @@ def buchberger(
     def degree(m: tuple[int, ...]) -> int:
         return sum(map(mul, weights, m))
 
+    if toric and any(degree(b.lead.exponents) != degree(b.trail.exponents) for b in inputs):
+        raise ValueError("toric needs every generator homogeneous in the grading")
     top = max([degree_cap] + [m.total_degree for b in inputs for m in (b.lead, b.trail)])
     width = top.bit_length() + 1
     shifts = tuple(width * (n - 1 - v) for v in range(n))
     sh = width - 1  # the guard bit of a field
-    G = sum(1 << sh << s for s in shifts)
+    ones = sum(1 << s for s in shifts)
+    G = ones << sh
     # a quotient's fields sum to at most top < field_mod, so its degree is
     # its remainder modulo field_mod
     field_mod = (1 << width) - 1
+    lcm_bits = n * width
+
+    def nonzero(x: int) -> int:
+        return ((x | G) - ones) & G
 
     basis: list[Binomial] = []
     sugar: list[int] = []
     words: list[int] = []  # packed lead of basis[g]
     wdeg: list[int] = []  # weighted degree of the lead of basis[g]
+    trails: list[int] = []  # support of the trail of basis[g], under toric
     # basis[g] for g in live (ascending) is what index.alive holds
     live: list[int] = []
     index = _LeadIndex(n)
-    # heap entries: (sugar, packed lcm, i, j), i < j
-    pairs: list[tuple[int, int, int, int]] = []
+    pairs: list[int] = []  # (sugar << lcm_bits | lcm) << 64 | i << 32 | j
 
     def insert(h: Binomial, sug: int) -> None:
         new = len(basis)
         lead = h.lead.exponents
         word = sum(map(lshift, lead, shifts))
+        trail = nonzero(sum(map(lshift, h.trail.exponents, shifts))) if toric else 0
         w_h = degree(lead)
         support = list(compress(range(n), lead))
         # criteria M and F on the new pairs: one pair per minimal lcm, none
@@ -333,64 +353,42 @@ def buchberger(
                     units |= q * field_mod
                 else:
                     minimal.append(q)
-                if q not in coprime:
-                    g = first[q]
-                    lead_g = basis[g].lead.exponents
-                    # w(lcm) = w(lead h) + w(q), w(q) = w(lead g) - w(min),
-                    # and min(lead g, lead h) lives on supp(lead h)
-                    w_min = sum([weights[v] * min(lead_g[v], lead[v]) for v in support])
-                    s = max(sugar[g] + w_h, sug + wdeg[g]) - w_min
-                    heapq.heappush(pairs, (s, word + q, g, new))
+                if q in coprime:
+                    continue
+                g, lcm = first[q], word + q
+                # the S-binomial's terms share a variable
+                if toric and (nonzero(lcm - words[g]) | trails[g]) & (nonzero(q) | trail):
+                    continue
+                lead_g = basis[g].lead.exponents
+                # w(lcm) = w(lead h) + w(q), w(q) = w(lead g) - w(min),
+                # and min(lead g, lead h) lives on supp(lead h)
+                w_min = sum([weights[v] * min(lead_g[v], lead[v]) for v in support])
+                s = max(sugar[g] + w_h, sug + wdeg[g]) - w_min
+                heapq.heappush(pairs, (s << lcm_bits | lcm) << 64 | g << 32 | new)
         basis.append(h)
         sugar.append(sug)
         words.append(word)
         wdeg.append(w_h)
+        trails.append(trail)
         index.retire(lead)
         index.add(h._rule)
         live[:] = [g for g in live if index.alive >> g & 1] + [new]
 
-    def criterion_b(lcm: int, i: int, j: int) -> bool:
-        """Some lead h, h > j, divides lcm and differs from lcm(i, h), lcm(j, h)."""
-        wi, wj = words[i], words[j]
-        # the leads whose support fits inside supp(lcm), above bit j
-        lcm_support = map(or_, basis[i].lead.exponents, basis[j].lead.exponents)
-        outside = reduce(or_, compress(index.has, map(not_, lcm_support)), 0)
-        candidates = ((1 << len(basis)) - (2 << j)) & ~outside
-        lg = lcm | G
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            wh = words[low.bit_length() - 1]
-            # lead h divides lcm
-            if (lg - wh) & G != G:
-                continue
-            # lcm(i, h) = wh + (wi - wh)+, and likewise for j
-            d = (wi | G) - wh
-            k = d & G
-            if wh + (d & (k - (k >> sh))) == lcm:
-                continue
-            d = (wj | G) - wh
-            k = d & G
-            if wh + (d & (k - (k >> sh))) != lcm:
-                return True
-        return False
-
     for b in inputs:
         insert(b, max(degree(b.lead.exponents), degree(b.trail.exponents)))
     while pairs:
-        sug, lcm, i, j = heapq.heappop(pairs)
-        if criterion_b(lcm, i, j):
-            continue
-        s = s_pair(basis[i], basis[j])
+        key = heapq.heappop(pairs)
+        s = s_pair(basis[key >> 32 & 0xFFFFFFFF], basis[key & 0xFFFFFFFF])
         if s is None:
             continue
-        nf = reduce_binomial(s, index)
+        nf = reduce_binomial(s, index, toric=toric)
         if nf is None:
             continue
         if max(nf.lead.total_degree, nf.trail.total_degree) > degree_cap:
             raise DegreeCapExceeded(
                 f"element of degree > {degree_cap} produced; raise the cap to continue"
             )
+        sug = key >> 64 >> lcm_bits
         insert(nf, max(sug, degree(nf.lead.exponents), degree(nf.trail.exponents)))
 
     return GroebnerBasis(universe, tuple(_interreduce([basis[g] for g in live])))
@@ -406,7 +404,8 @@ def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) ->
     everything, and its elimination-free part is returned over the
     universe without that variable.  Pairs are selected by sugar in the
     grading w(t) = w(x_i) = 1, w(y_j) = deg images[j], that is deg u_j + 1,
-    under which every generator is homogeneous.
+    under which every generator is homogeneous, and with ``toric``: the
+    graph ideal (y_j - image_j) is prime and holds no monomial.
     """
     if not images:
         raise ValueError("toric_kernel needs at least one image")
@@ -429,7 +428,7 @@ def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) ->
         lifted = img.restricted(full)
         gens.append(oriented_binomial(lifted, variable(full, f"y{j}")))
     weights = (1,) + tuple(img.total_degree for img in images) + (1,) * len(u0.s_vars)
-    basis = buchberger(gens, degree_cap=degree_cap, weights=weights)
+    basis = buchberger(gens, degree_cap=degree_cap, weights=weights, toric=True)
     target = full.drop_elim()
     kept = []
     for e in basis.elements:

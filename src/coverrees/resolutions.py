@@ -517,15 +517,17 @@ def is_componentwise_linear(
     degree below: each lower truncation is generated by a prefix of that
     order, which is nondecreasing in degree and so keeps linear quotients
     (Jahan-Zheng, JCTA 117, 2010), giving reg(I_<=i) <= i.  Each truncation
-    above it has just been proved to have no order, so its Koszul table
-    gives its regularity.  A degree j without generators has
-    I_<=j = I_<=i for the generator degree i just below, so it is decided
-    by reg(I_<=i) <= j.  ``max_generators`` bounds each search, as in
-    ``betti_table``.  ``_no_order`` says the caller's own search has
-    already proved that the ideal itself, the top truncation, has no
-    order, so the searches start at the next truncation down.
+    above it has been proved to have no order, so its Koszul table gives
+    its regularity; the tables are built only after the searches, so a
+    search that trips its bound costs no table.  A degree j without
+    generators has I_<=j = I_<=i for the generator degree i just below, so
+    it is decided by reg(I_<=i) <= j.  ``max_generators`` bounds each
+    search, as in ``betti_table``.  ``_no_order`` says the caller's own
+    search has already proved that the ideal itself, the top truncation,
+    has no order, so the searches start at the next truncation down.
     """
     regularity: dict[int, int | float] = {}  # bound on reg(I_<=j) per generator degree j
+    no_order: list[tuple[int, list[Monomial]]] = []  # truncations without an order
     for j in sorted({g.total_degree for g in ideal.gens}, reverse=True):
         gens = [g for g in ideal.gens if g.total_degree <= j]
         top = len(gens) == len(ideal.gens)
@@ -533,6 +535,8 @@ def is_componentwise_linear(
         if cert is not None:
             regularity.update((u.total_degree, u.total_degree) for u in cert.ordering)
             break
+        no_order.append((j, gens))
+    for j, gens in no_order:
         regularity[j] = _koszul_betti_table(MonomialIdeal(ideal.universe, gens)).regularity()
     by_degree = {}
     for j in range(min(regularity, default=0), max(regularity, default=-1) + 1):

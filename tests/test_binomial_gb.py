@@ -295,6 +295,12 @@ def _rees_generators(images):
     ]
 
 
+def _rees_weights(images):
+    """The grading under which the Rees generators are homogeneous."""
+    base = len(images[0].universe.s_vars)
+    return (1,) + tuple(img.total_degree for img in images) + (1,) * base
+
+
 def test_elimination_generators_reduce_to_zero():
     # soundness of the elimination stage: the defining generators y_j - u_j t
     # lie in the ideal spanned by the full elimination-order basis
@@ -310,10 +316,73 @@ def test_reduced_basis_does_not_depend_on_the_grading():
     for g in CORPUS:
         images = _cover_images(g)
         gens = _rees_generators(images)
-        weights = (1,) + tuple(img.total_degree for img in images) + (1,) * len(g.labels)
+        weights = _rees_weights(images)
         assert any(w > 1 for w in weights)
         toric = buchberger(gens, weights=weights)
         assert toric.elements == buchberger(gens).elements
+
+
+def test_toric_criterion_keeps_the_basis():
+    # the gcd criterion only skips work: the reduced basis is unique
+    for g in CORPUS + [parse_construction("cycle:7"), parse_construction("friendship:3")]:
+        images = _cover_images(g)
+        gens = _rees_generators(images)
+        weights = _rees_weights(images)
+        toric = buchberger(gens, weights=weights, toric=True)
+        assert toric.elements == buchberger(gens, weights=weights).elements
+
+
+def test_toric_needs_homogeneous_generators():
+    images = _cover_images(standard_family("path", 3))
+    gens = _rees_generators(images)
+    # y_j - u_j*t is not homogeneous in the standard grading
+    with pytest.raises(ValueError, match="homogeneous"):
+        buchberger(gens, toric=True)
+    u = VariableUniverse(("x1", "x2"))
+    with pytest.raises(ValueError, match="homogeneous"):
+        buchberger([Binomial(_mk("x1", u), _mk("x2^2", u))], toric=True)
+    with pytest.raises(ValueError, match="homogeneous"):
+        buchberger([Binomial(_mk("x1^2", u), _mk("x2", u))], weights=(1, 3), toric=True)
+    assert buchberger(gens, weights=_rees_weights(images), toric=True).elements
+
+
+def test_toric_criterion_drops_a_pair_when_formed(monkeypatch):
+    # for the edge, the pair (x2*t - y2, x2*y1 - x1*y2) has the S-binomial
+    # x1*y2*t - y1*y2, whose terms share y2: the toric run never forms it
+    images = _cover_images(standard_family("path", 2))
+    gens = _rees_generators(images)
+    weights = _rees_weights(images)
+    seen = []
+    real_s_pair = binomial_gb.s_pair
+
+    def recording_s_pair(f, g):
+        s = real_s_pair(f, g)
+        seen.append((str(f), str(g), str(s)))
+        return s
+
+    monkeypatch.setattr(binomial_gb, "s_pair", recording_s_pair)
+    plain = buchberger(gens, weights=weights)
+    dropped = ("x2*t - y2", "x2*y1 - x1*y2", "x1*y2*t - y1*y2")
+    assert seen == [("x1*t - y1", "x2*t - y2", "x2*y1 - x1*y2"), dropped]
+    seen.clear()
+    toric = buchberger(gens, weights=weights, toric=True)
+    assert seen == [("x1*t - y1", "x2*t - y2", "x2*y1 - x1*y2")]
+    assert toric.elements == plain.elements
+
+
+def test_toric_reduction_stops_on_a_shared_variable():
+    u = VariableUniverse(("x1", "x2", "x3"), ("y1", "y2"))
+    rule = Binomial(_mk("x2*y1", u), _mk("x1*x3*y2", u))
+    # the terms share x2 before any rewrite
+    shared = Binomial(_mk("x2^2*y1", u), _mk("x2*x3*y2", u))
+    assert reduce_binomial(shared, [rule]) == Binomial(
+        _mk("x1*x2*x3*y2", u), _mk("x2*x3*y2", u)
+    )
+    assert reduce_binomial(shared, [rule], toric=True) is None
+    # coprime terms, until the rewrite of the lead brings in x3 and y2
+    late = Binomial(_mk("x2^2*y1", u), _mk("x3^2*y2", u))
+    assert reduce_binomial(late, [rule]) == Binomial(_mk("x1*x2*x3*y2", u), _mk("x3^2*y2", u))
+    assert reduce_binomial(late, [rule], toric=True) is None
 
 
 def test_buchberger_rejects_bad_weights():
@@ -481,11 +550,11 @@ def test_lead_index_finds_the_first_live_divisor():
 # (S-pairs, reductions, zero reductions) of toric_kernel on cover images;
 # any drift in the pair selection order or the criteria moves them.
 PAIR_SEQUENCE_COUNTS = {
-    "path:7": (71, 71, 56),
-    "attach(edge;edge,edge)": (191, 191, 160),
-    "cone(cycle:5)": (147, 147, 119),
-    "attach(path:3;edge,edge,edge)": (6068, 6068, 5718),
-    "cycle:7": (235, 235, 196),
+    "path:7": (34, 34, 19),
+    "attach(edge;edge,edge)": (105, 105, 74),
+    "cone(cycle:5)": (64, 64, 36),
+    "attach(path:3;edge,edge,edge)": (4030, 4030, 3680),
+    "cycle:7": (93, 93, 54),
 }
 
 
@@ -498,9 +567,9 @@ def test_pair_sequence_is_pinned(monkeypatch):
         counts["s_pairs"] += 1
         return real_s_pair(f, g)
 
-    def counting_reduce(b, elements):
+    def counting_reduce(b, elements, **kwargs):
         counts["reductions"] += 1
-        nf = real_reduce(b, elements)
+        nf = real_reduce(b, elements, **kwargs)
         if nf is None:
             counts["zero"] += 1
         return nf

@@ -390,9 +390,8 @@ def test_resource_bounds_exit_3(capsys):
     assert run(capsys, "--max-gens", "1", "analyze", "cycle:4")[0] == 3
     assert run(capsys, "--gb-degree-cap", "1", "rees", "path:2")[0] == 3
     # the CLI's search (bound 24) proves that cycle:6 cubed, 22 generators,
-    # has no order; the Betti layer takes the cube's Koszul table and its
-    # search of the degree-11 truncation trips its default generator bound
-    # instead of degrading silently
+    # has no order; the Betti layer's search of the degree-11 truncation
+    # trips its default generator bound instead of degrading silently
     code, _, err = run(capsys, "analyze", "cycle:6", "-k", "3", "--betti")
     assert code == 3
     assert "19 generators exceed the search bound 18" in err
@@ -404,6 +403,28 @@ def test_resource_bounds_exit_3(capsys):
     code, out, _ = run(capsys, "analyze", "star:3", "-k", "2", "--betti")
     assert code == 0
     assert "componentwise-linear=yes" in out
+
+
+def test_search_bound_trips_before_any_koszul_table(capsys, monkeypatch):
+    # the Betti layer searches the truncations of cycle:6 cubed from the top
+    # down before it builds a Koszul table, so the 19-generator degree-11
+    # truncation trips the search bound and the 22-generator cube's table,
+    # which would only decide the top degree, is never built; the tables
+    # are those of the first power (5 and 2 generators) and the square
+    from coverrees import resolutions
+
+    tables = []
+    table = resolutions._koszul_betti_table
+
+    def counting(ideal):
+        tables.append(len(ideal.gens))
+        return table(ideal)
+
+    monkeypatch.setattr(resolutions, "_koszul_betti_table", counting)
+    code, _, err = run(capsys, "analyze", "cycle:6", "-k", "3", "--betti")
+    assert code == 3
+    assert "19 generators exceed the search bound 18" in err
+    assert tables == [5, 2, 12, 9, 3]
 
 
 def test_internal_key_error_is_not_an_input_error(monkeypatch, capsys):

@@ -310,7 +310,11 @@ def test_kernel_bases_leave_no_split_fiber():
     # negative control on the attach basis: dropping one element splits a fiber
     assert split_fibers(x_vars, images, rules[1:])
     assert split_fibers(x_vars, images, rules[:-1])
-    assert time.perf_counter() - started < 1.0
+    # completeness one degree further, in y-degree and base degree 3
+    for text in ["path:3", "cycle:5", "cycle:6", "cone(cycle:5)", "friendship:2"]:
+        inputs = _fiber_inputs(_present(parse_construction(text)))
+        assert split_fibers(*inputs, max_degree=3) == [], text
+    assert time.perf_counter() - started < 2.0
 
 
 def test_sixteen_and_seventeen_cover_kernels_certify():
