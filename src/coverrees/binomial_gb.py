@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import compress
-from operator import lshift, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DegreeCapExceeded
@@ -30,6 +30,7 @@ from .monomials import (
     MonomialIdeal,
     VariableUniverse,
     _LeadIndex,
+    _Packing,
     _monomial,
     _same_universe,
     variable,
@@ -252,19 +253,12 @@ def buchberger(
     degree < d, so it has a standard representation; times m, that
     represents S below the lcm of its pair.
 
-    The pair update runs on packed exponent words: with top the larger of
-    ``degree_cap`` and the total degree of every input term, each
-    variable gets a field of top.bit_length() + 1 bits, the first
-    variable in the most significant one, so int order is the lex order
-    of the tuples.  The cap check before every insertion keeps each field
-    of a term, of an lcm of two leads and of a quotient at most top, so
-    the top (guard) bit of every field stays clear and field arithmetic
-    never borrows or carries across fields.  The new lcms are keyed by
-    their quotient lcm / lead h, whose total degree, the remainder modulo
-    2^width - 1, orders criterion M.  The support of a word x is the
-    guard bits ((x | G) - ONES) & G of its nonzero fields; the terms of
-    the S-binomial of (g, h) have those of lcm / lead g and lcm / lead h
-    joined with the trail supports each element keeps as one mask.
+    The pair update runs on ``monomials._Packing`` words sized by the larger
+    of ``degree_cap`` and every input degree, a bound the cap check before
+    each insertion keeps on every term, lcm and quotient.  lcm(g, h) is
+    keyed by the colon lead g : lead h, whose degree orders criterion M;
+    the S-binomial's terms have the supports of lcm / lead g and lcm /
+    lead h joined with each element's trail support.
 
     The live elements form one lead index that every reduction reads: an
     inserted element adds its bit and retires the elements whose lead its
@@ -295,18 +289,9 @@ def buchberger(
     if toric and any(degree(b.lead.exponents) != degree(b.trail.exponents) for b in inputs):
         raise ValueError("toric needs every generator homogeneous in the grading")
     top = max([degree_cap] + [m.total_degree for b in inputs for m in (b.lead, b.trail)])
-    width = top.bit_length() + 1
-    shifts = tuple(width * (n - 1 - v) for v in range(n))
-    sh = width - 1  # the guard bit of a field
-    ones = sum(1 << s for s in shifts)
-    G = ones << sh
-    # a quotient's fields sum to at most top < field_mod, so its degree is
-    # its remainder modulo field_mod
-    field_mod = (1 << width) - 1
-    lcm_bits = n * width
-
-    def nonzero(x: int) -> int:
-        return ((x | G) - ones) & G
+    packing = _Packing(n, top)
+    colons, nonzero, modulus = packing.colons, packing.support, packing.modulus
+    lcm_bits = n * modulus.bit_length()
 
     basis: list[Binomial] = []
     sugar: list[int] = []
@@ -321,17 +306,14 @@ def buchberger(
     def insert(h: Binomial, sug: int) -> None:
         new = len(basis)
         lead = h.lead.exponents
-        word = sum(map(lshift, lead, shifts))
-        trail = nonzero(sum(map(lshift, h.trail.exponents, shifts))) if toric else 0
+        word = packing.pack(lead)
+        trail = nonzero(packing.pack(h.trail.exponents)) if toric else 0
         w_h = degree(lead)
         support = list(compress(range(n), lead))
         # criteria M and F on the new pairs: one pair per minimal lcm, none
         # where a pair with coprime leads reaches that lcm.  lcm(g, h) is
-        # keyed by its quotient by lead h, (lead g - lead h)+: a field keeps
-        # its guard bit through the subtraction exactly where lead g >= lead h,
-        # and the kept guard bits mask the fields of the difference to keep
-        diffs = [(words[g] | G) - word for g in live]
-        quotients = [d & ((d & G) - ((d & G) >> sh)) for d in diffs]
+        # keyed by its quotient by lead h, the colon lead g : lead h
+        quotients = colons(map(words.__getitem__, live), word)
         # the first live g reaching each quotient; coprime leads leave all
         # of lead g as the quotient
         first = dict(zip(reversed(quotients), reversed(live)))
@@ -340,31 +322,25 @@ def buchberger(
         # as the union of their whole fields; the others as a list
         units = 0
         minimal: list[int] = []
-        for q in sorted(first, key=lambda q: q % field_mod):
-            if q & units:
+        for q in sorted(first, key=lambda q: q % modulus):
+            if q & units or packing.has_divisor(minimal, q):
                 continue
-            qg = q | G
-            for m in minimal:
-                # m divides q: no field of q - m borrows its guard bit
-                if (qg - m) & G == G:
-                    break
+            if q % modulus == 1:
+                units |= q * modulus
             else:
-                if q % field_mod == 1:
-                    units |= q * field_mod
-                else:
-                    minimal.append(q)
-                if q in coprime:
-                    continue
-                g, lcm = first[q], word + q
-                # the S-binomial's terms share a variable
-                if toric and (nonzero(lcm - words[g]) | trails[g]) & (nonzero(q) | trail):
-                    continue
-                lead_g = basis[g].lead.exponents
-                # w(lcm) = w(lead h) + w(q), w(q) = w(lead g) - w(min),
-                # and min(lead g, lead h) lives on supp(lead h)
-                w_min = sum([weights[v] * min(lead_g[v], lead[v]) for v in support])
-                s = max(sugar[g] + w_h, sug + wdeg[g]) - w_min
-                heapq.heappush(pairs, (s << lcm_bits | lcm) << 64 | g << 32 | new)
+                minimal.append(q)
+            if q in coprime:
+                continue
+            g, lcm = first[q], word + q
+            # the S-binomial's terms share a variable
+            if toric and (nonzero(lcm - words[g]) | trails[g]) & (nonzero(q) | trail):
+                continue
+            lead_g = basis[g].lead.exponents
+            # w(lcm) = w(lead h) + w(q), w(q) = w(lead g) - w(min),
+            # and min(lead g, lead h) lives on supp(lead h)
+            w_min = sum([weights[v] * min(lead_g[v], lead[v]) for v in support])
+            s = max(sugar[g] + w_h, sug + wdeg[g]) - w_min
+            heapq.heappush(pairs, (s << lcm_bits | lcm) << 64 | g << 32 | new)
         basis.append(h)
         sugar.append(sug)
         words.append(word)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from functools import reduce
 from itertools import combinations_with_replacement, compress
-from operator import add, and_, le, not_, or_, sub
+from operator import add, and_, le, lshift, not_, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -223,6 +223,48 @@ def _monomial(universe: VariableUniverse, exponents: tuple[int, ...], total_degr
     return m
 
 
+class _Packing:
+    """Exponent tuples of length n packed into ints, the first position in
+    the most significant field, so int order is lex order.  Fields have
+    top.bit_length() + 1 bits for top the largest total degree packed, not
+    the largest exponent, so the top (guard) bit of each field stays clear,
+    fieldwise arithmetic never borrows or carries across fields, and a
+    word's degree is its remainder modulo ``modulus``, the mask of a field.
+    """
+
+    __slots__ = ("shifts", "modulus", "_ones", "_guards")
+
+    def __init__(self, n: int, top: int):
+        width = top.bit_length() + 1
+        self.shifts = tuple(width * (n - 1 - v) for v in range(n))
+        self.modulus = (1 << width) - 1
+        self._ones = sum(1 << s for s in self.shifts)
+        self._guards = self._ones << (width - 1)
+
+    def pack(self, exponents: Sequence[int]) -> int:
+        return sum(map(lshift, exponents, self.shifts))
+
+    def colons(self, words: Iterable[int], b: int) -> list[int]:
+        """Each word's colon a : b, the fieldwise (a - b)+: (a | guards) - b
+        keeps a field's guard bit exactly where a >= b, masking what to keep."""
+        guards, sh = self._guards, self.modulus.bit_length() - 1
+        diffs = [(a | guards) - b for a in words]
+        return [d & ((kept := d & guards) - (kept >> sh)) for d in diffs]
+
+    def has_divisor(self, words: Iterable[int], b: int) -> bool:
+        """Whether some word a divides b: (b | guards) - a keeps every guard."""
+        guards, kept = self._guards, b | self._guards
+        return any((kept - a) & guards == guards for a in words)
+
+    def support(self, word: int) -> int:
+        """The guard bits of the word's nonzero fields."""
+        return ((word | self._guards) - self._ones) & self._guards
+
+    def positions(self, word: int) -> int:
+        """The word's nonzero fields as a bitmask over exponent positions."""
+        return sum(1 << p for p, s in enumerate(self.shifts) if word >> s & self.modulus)
+
+
 def _same_universe(a: Monomial, b: Monomial) -> None:
     if a.universe is not b.universe and a.universe != b.universe:
         raise ValueError("monomials live in different universes")
@@ -347,9 +389,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].is_one
-
-    def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
 
     def min_degree(self) -> int:
         return min(g.total_degree for g in self.gens)

@@ -1,7 +1,7 @@
 """Linear quotients, multigraded Betti numbers, componentwise linearity.
 
 Linear quotients (Herzog-Takayama, 2002) are checked by one colon rule on
-support bitmasks.  One exact search serves the CLI and the Betti layer:
+packed colons g : u.  One exact search serves the CLI and the Betti layer:
 two heuristic orders sorted by degree, then backtracking one degree block
 at a time (Jahan-Zheng, JCTA 117, 2010), each block first screened by the
 linear-graph rule.  The order is the certificate; it is nondecreasing in
@@ -13,9 +13,9 @@ truncation is a prefix of the order, so the certificate alone decides
 componentwise linearity (Herzog-Takayama; Jahan-Zheng).
 
 Only where the search proves there is no order are Betti numbers computed
-from homology: for every multidegree in the lcm lattice of the
-generators, the reduced homology of the upper Koszul simplicial complex
-is taken over the rationals, with ranks obtained by fraction-free integer
+from homology: at every multidegree b of the lcm lattice, the upper Koszul
+complex, whose faces are the subsets of the supports of the colons b : g,
+has its reduced homology taken over the rationals by fraction-free integer
 elimination; linearity is read off the regularity (Eisenbud-Goto, J.
 Algebra 88, 1984: M_{>=r} has an r-linear resolution exactly when
 reg M <= r).
@@ -23,12 +23,11 @@ reg M <= r).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import GeneratorLimitExceeded, LatticeLimitExceeded
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    _Packing,
     _monomial,
     canonical_key,
     component,  # unused; kept because bench/child.py traces resolutions.component
@@ -97,28 +96,20 @@ class LinearQuotientsCertificate:
         return ComponentwiseReport(True, dict.fromkeys(span, True))
 
 
-def _colon_masks(g: tuple[int, ...], u: tuple[int, ...]) -> tuple[int, int]:
-    """Support of g : u as a bitmask, paired with the same mask when g : u
-    is one variable (degree sum of max(g_p - u_p, 0) equal to 1), else 0."""
-    support = degree = 0
-    bit = 1
-    for a, b in zip(g, u):
-        if a > b:
-            support |= bit
-            degree += a - b
-        bit <<= 1
-    return support, support if degree == 1 else 0
+def _packed(gens) -> tuple[_Packing, list[int]]:
+    """The generators packed by one ``_Packing`` sized for them."""
+    top = max((g.total_degree for g in gens), default=0)
+    packing = _Packing(len(gens[0].exponents) if gens else 0, top)
+    return packing, [packing.pack(g.exponents) for g in gens]
 
 
-def _colon_variables(colons: list[tuple[int, int]]) -> int | None:
-    """The colon rule: monomial colons, given by ``_colon_masks`` pairs,
-    generate an ideal generated by variables exactly when every support
-    meets the union of the one-variable colons.  Returns that union as a
-    bitmask (those variables generate the ideal), None when the rule fails."""
-    variables = 0
-    for _, linear in colons:
-        variables |= linear
-    return variables if all(support & variables for support, _ in colons) else None
+def _colon_variables(colons: list[int], modulus: int) -> int | None:
+    """The colon rule: packed monomial colons generate an ideal generated by
+    variables exactly when each meets a field of the one-variable colons, of
+    degree 1 modulo ``modulus``.  Returns those fields filled, else None."""
+    # distinct one-variable colons lie in distinct fields
+    fill = sum({q for q in colons if q % modulus == 1}) * modulus
+    return fill if all(map(fill.__and__, colons)) else None
 
 
 def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
@@ -128,12 +119,13 @@ def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
         raise ValueError("generators must be pairwise distinct")
     if len({g.universe for g in gens}) > 1:
         raise ValueError("generators live in different universes")
+    packing, words = _packed(gens)
     colon_variables = []
-    for j, u in enumerate(gens):
-        variables = _colon_variables([_colon_masks(g.exponents, u.exponents) for g in gens[:j]])
+    for j, word in enumerate(words):
+        variables = _colon_variables(packing.colons(words[:j], word), packing.modulus)
         if variables is None:
             return j + 1
-        colon_variables.append(variables)
+        colon_variables.append(packing.positions(variables))
     return LinearQuotientsCertificate(gens, tuple(colon_variables))
 
 
@@ -183,16 +175,17 @@ def _degree_block_search(pool: list[Monomial]) -> LinearQuotientsCertificate | N
     whatever order the block took, so each block is searched on its own.
     Candidates are tried in ``pool`` order; the order found is re-checked.
     """
-    # masks[j][l]: the colon pool[l] : pool[j]
-    masks = [[_colon_masks(g.exponents, u.exponents) for g in pool] for u in pool]
-    if any(not masks[j][l][0] for j in range(len(pool)) for l in range(len(pool)) if l != j):
+    # colons[j][l]: the colon pool[l] : pool[j]
+    packing, words = _packed(pool)
+    colons = [packing.colons(words, word) for word in words]
+    if any(not colons[j][l] for j in range(len(pool)) for l in range(len(pool)) if l != j):
         raise ValueError("the search needs minimal generators: one divides another")
     blocks: dict[int, list[int]] = {}
     for j, u in enumerate(pool):
         blocks.setdefault(u.total_degree, []).append(j)
     order: list[int] = []
     for degree in sorted(blocks):
-        block = _block_order(blocks[degree], order, masks)
+        block = _block_order(blocks[degree], order, colons, packing.modulus)
         if block is None:
             return None
         order += block
@@ -201,7 +194,7 @@ def _degree_block_search(pool: list[Monomial]) -> LinearQuotientsCertificate | N
     return LinearQuotientsCertificate(result.ordering, result.colon_variables, "search")
 
 
-def _block_order(block: list[int], below: list[int], masks) -> list[int] | None:
+def _block_order(block: list[int], below: list[int], colons, modulus: int) -> list[int] | None:
     """An order of ``block`` in which each generator passes the colon rule
     against ``below`` and the block members before it, or None.
 
@@ -215,12 +208,12 @@ def _block_order(block: list[int], below: list[int], masks) -> list[int] | None:
     subsets memoized (bit i of ``placed`` is ``block[i]``).
     """
     size = len(block)
-    lower = [[masks[c][l] for l in below] for c in block]
+    lower = [[colons[c][l] for l in below] for c in block]
     reached = block[:1]
     if below:
-        reached = [c for c, colons in zip(block, lower) if any(one for _, one in colons)]
+        reached = [c for c, qs in zip(block, lower) if any(q % modulus == 1 for q in qs)]
     for c in reached:  # also visits the members this loop appends
-        reached += [d for d in block if d not in reached and masks[d][c][1]]
+        reached += [d for d in block if d not in reached and colons[d][c] % modulus == 1]
     if len(reached) < size:
         return None
     dead: set[int] = set()
@@ -233,7 +226,7 @@ def _block_order(block: list[int], below: list[int], masks) -> list[int] | None:
         for i, c in enumerate(block):
             if placed >> i & 1:
                 continue
-            if _colon_variables(lower[i] + [masks[c][l] for l in prefix]) is None:
+            if _colon_variables(lower[i] + [colons[c][l] for l in prefix], modulus) is None:
                 continue
             found = dfs(prefix + [c], placed | 1 << i)
             if found is not None:
@@ -302,27 +295,29 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
     return sorted(current, key=lambda m: (m.total_degree, canonical_key(m)))
 
 
-def upper_koszul_faces(ideal: MonomialIdeal, b: Monomial) -> dict[int, list[tuple[str, ...]]]:
-    """Faces of the upper Koszul complex at multidegree b, by dimension.
+def upper_koszul_faces(ideal: MonomialIdeal, b: Monomial) -> dict[int, list[int]]:
+    """Faces of the upper Koszul complex at multidegree b, by dimension, as
+    bitmasks over the exponent positions.
 
-    A squarefree variable subset of the support of b is a face exactly
-    when b divided by it still lies in the ideal; the empty face sits in
-    dimension -1.
+    A subset F of supp(b) is a face exactly when b / x_F lies in the ideal,
+    that is when F lies in supp(b : g) for a generator g dividing b.  The
+    empty face sits in dimension -1.
     """
-    support = list(b.exps)
-    faces: dict[int, list[tuple[str, ...]]] = {}
-    for size in range(len(support) + 1):
-        this_dim = []
-        for combo in combinations(support, size):
-            quotient = b / b.universe.monomial({v: 1 for v in combo})
-            if ideal.contains(quotient):
-                this_dim.append(combo)
-        if this_dim:
-            faces[size - 1] = this_dim
+    packing, (*words, word) = _packed(ideal.gens + (b,))
+    divisors = [w for w, q in zip(words, packing.colons(words, word)) if not q]
+    found = {0} if divisors else set()
+    for free in {packing.positions(word - w) for w in divisors}:  # b : g = b - g
+        face = free
+        while face:
+            found.add(face)
+            face = (face - 1) & free
+    faces: dict[int, list[int]] = {}
+    for face in sorted(found, key=lambda f: (f.bit_count(), f)):
+        faces.setdefault(face.bit_count() - 1, []).append(face)
     return faces
 
 
-def _reduced_homology_ranks(faces: dict[int, list[tuple[str, ...]]]) -> dict[int, int]:
+def _reduced_homology_ranks(faces: dict[int, list[int]]) -> dict[int, int]:
     """dim -> rank of the reduced homology over the rationals."""
     if not faces:
         return {}
@@ -335,9 +330,8 @@ def _reduced_homology_ranks(faces: dict[int, list[tuple[str, ...]]]) -> dict[int
             continue
         rows = [[0] * len(faces[d]) for _ in faces[d - 1]]
         for col, f in enumerate(faces[d]):
-            for drop in range(len(f)):
-                sub = f[:drop] + f[drop + 1 :]
-                rows[index[d - 1][sub]][col] = -1 if drop % 2 else 1
+            for k, p in enumerate(p for p in range(f.bit_length()) if f >> p & 1):
+                rows[index[d - 1][f ^ (1 << p)]][col] = -1 if k % 2 else 1
         boundary_rank[d] = _int_rank(rows)
     out = {}
     for d in dims:

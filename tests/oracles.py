@@ -80,6 +80,12 @@ def divides_exponents(small, large):
     return all(large.get(v, 0) >= e for v, e in small.items())
 
 
+def contains(ideal, m):
+    """Whether the monomial lies in the monomial ideal: a linear scan for a
+    generator dividing it."""
+    return any(g.divides(m) for g in ideal.gens)
+
+
 def colon_exponents(u, v):
     """Exponent dict of the colon u : v, i.e. u / gcd(u, v)."""
     result = {}
@@ -164,6 +170,33 @@ def order_admits_linear_quotients(exponent_dicts):
             if not any(divides_exponents(lin, c) for lin in linear):
                 return False
     return True
+
+
+def colon_rule(ordered_exponents):
+    """The colon rule one variable at a time, on exponent tuples.
+
+    At each position j the colon g : u_j of every earlier generator g is
+    read as its support, a bitmask over the exponent positions, and is a
+    one-variable colon when max(g_p - u_p, 0) sums to 1.  The order passes
+    at j when every support meets the union of the one-variable colons.
+    Returns those unions, one per position, or the 1-based position of the
+    first failure.
+    """
+    unions = []
+    for j, u in enumerate(ordered_exponents):
+        colons = []
+        for g in ordered_exponents[:j]:
+            support = sum(1 << p for p, (a, b) in enumerate(zip(g, u)) if a > b)
+            degree = sum(max(a - b, 0) for a, b in zip(g, u))
+            colons.append((support, degree))
+        union = 0
+        for support, degree in colons:
+            if degree == 1:
+                union |= support
+        if not all(support & union for support, _ in colons):
+            return j + 1
+        unions.append(union)
+    return tuple(unions)
 
 
 def herzog_takayama_betti(exponent_dicts):

@@ -22,7 +22,15 @@ from coverrees import (
     variable,
 )
 
-from oracles import compare_monomials, divides_exponents, random_monomial, random_universe
+from coverrees.monomials import _Packing
+from oracles import (
+    colon_exponents,
+    compare_monomials,
+    contains,
+    divides_exponents,
+    random_monomial,
+    random_universe,
+)
 
 
 def _block_names(u, block):
@@ -248,11 +256,11 @@ def test_monomial_ideal_construction():
     ideal = MonomialIdeal(u, gens)
     # generators are stored descending under the canonical key
     assert [str(g) for g in ideal.gens] == ["x1*x3", "x2"]
-    assert ideal.contains(parse_monomial("x1*x2^4", u))
-    assert ideal.contains(parse_monomial("x1^5*x3", u))
-    assert not ideal.contains(parse_monomial("x1^5*x3^0", u))
-    assert not ideal.contains(parse_monomial("x1*x2^0*x3^0", u))
-    assert not ideal.contains(u.one())
+    assert contains(ideal, parse_monomial("x1*x2^4", u))
+    assert contains(ideal, parse_monomial("x1^5*x3", u))
+    assert not contains(ideal, parse_monomial("x1^5*x3^0", u))
+    assert not contains(ideal, parse_monomial("x1*x2^0*x3^0", u))
+    assert not contains(ideal, u.one())
     assert ideal.min_degree() == 1 and ideal.max_degree() == 2
     assert not ideal.is_equigenerated()
     # a generating set that is not minimal keeps only its minimal elements
@@ -265,10 +273,10 @@ def test_monomial_ideal_zero_and_unit():
     u = VariableUniverse(("x1",))
     zero = MonomialIdeal(u, [])
     assert zero.is_zero and not zero.is_unit
-    assert not zero.contains(variable(u, "x1"))
+    assert not contains(zero, variable(u, "x1"))
     unit = MonomialIdeal(u, [u.one()])
     assert unit.is_unit and not unit.is_zero
-    assert unit.contains(u.one())
+    assert contains(unit, u.one())
     assert unit.is_equigenerated()
 
 
@@ -356,9 +364,56 @@ def test_power_membership_is_sound():
         k = rng.randint(1, 3)
         kth = power(ideal, k)
         for combo in combinations_with_replacement(ideal.gens, k):
-            assert kth.contains(product(u, combo))
+            assert contains(kth, product(u, combo))
         for g in kth.gens:
-            assert ideal.contains(g)
+            assert contains(ideal, g)
+
+
+def _as_dict(exponents):
+    return {p: e for p, e in enumerate(exponents) if e}
+
+
+def test_packed_colon_support_and_degree_match_oracle():
+    # on random exponent tuples: the colon a : b, its support (guard bits
+    # and exponent positions), its degree as the remainder modulo the
+    # field modulus, divisibility, and int order as lex order
+    rng = random.Random(4021)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        tuples = [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        packing = _Packing(n, max(map(sum, tuples)))
+        words = [packing.pack(t) for t in tuples]
+        guard = packing.modulus.bit_length() - 1
+        for b, word in zip(tuples, words):
+            colons = packing.colons(words, word)
+            assert colons == [packing.colons(iter([w]), word)[0] for w in words]
+            for a, q in zip(tuples, colons):
+                oracle = colon_exponents(_as_dict(a), _as_dict(b))
+                assert q == packing.pack([oracle.get(p, 0) for p in range(n)]), (a, b)
+                assert q % packing.modulus == sum(oracle.values()), (a, b)
+                assert packing.positions(q) == sum(1 << p for p in oracle), (a, b)
+                support = sum(1 << (packing.shifts[p] + guard) for p in oracle)
+                assert packing.support(q) == support, (a, b)
+            divisors = [a for a in tuples if divides_exponents(_as_dict(a), _as_dict(b))]
+            assert packing.has_divisor(words, word) == bool(divisors)
+            others = [w for a, w in zip(tuples, words) if a not in divisors]
+            assert not packing.has_divisor(others, word)
+        for (a, wa), (b, wb) in combinations_with_replacement(list(zip(tuples, words)), 2):
+            assert (wa < wb) == (a < b) and (wa == wb) == (a == b)
+
+
+def test_packing_is_sized_by_total_degree():
+    # fields sized from the largest exponent (3) hold each exponent, but
+    # not the degree 12 of the tuple: 12 is 5 modulo 2^3 - 1.  Sized from
+    # the total degree, the remainder is the degree
+    a, zero = (3, 3, 3, 3), (0, 0, 0, 0)
+    by_exponent = _Packing(4, max(a))
+    [q] = by_exponent.colons([by_exponent.pack(a)], by_exponent.pack(zero))
+    assert q % by_exponent.modulus == 5
+    packing = _Packing(4, sum(a))
+    [q] = packing.colons([packing.pack(a)], packing.pack(zero))
+    assert q % packing.modulus == 12
+    assert packing.positions(q) == 0b1111
 
 
 def test_monomials_of_degree():
@@ -384,7 +439,7 @@ def test_component():
     assert [str(g) for g in comp1.gens] == ["x2"]
     # everything in a component sits inside the ideal
     for g in component(ideal, 3).gens:
-        assert ideal.contains(g)
+        assert contains(ideal, g)
         assert g.total_degree == 3
 
 

@@ -28,7 +28,9 @@ from coverrees import (
 )
 
 from oracles import (
+    colon_rule,
     componentwise_by_degree,
+    contains,
     exhaustive_linear_quotients,
     fraction_rank,
     herzog_takayama_betti,
@@ -110,6 +112,13 @@ def test_check_linear_quotients_agrees_with_oracle():
             assert order_admits_linear_quotients(exps[: result - 1])
             assert not order_admits_linear_quotients(exps[:result])
     assert accepted > 0 and rejected > 0 and unit_colons > 0
+
+
+def test_colon_fields_are_sized_by_total_degree():
+    # x1*x2*x3*x4 : x5 has degree 4, which is 1 modulo 2^2 - 1, the field
+    # modulus of a packing sized from the largest exponent 1
+    gens = [parse_monomial(t, U5) for t in ("x1*x2*x3*x4", "x5")]
+    assert check_linear_quotients(gens) == 2 == colon_rule([g.exponents for g in gens])
 
 
 def test_find_order_uses_ascending_heuristic():
@@ -292,11 +301,11 @@ def test_linear_graph_rule_decides_split_components(monkeypatch):
     # graphs are disconnected, so no subset is searched; only the two
     # sweeps run the colon rule (backtracking alone takes seconds on each)
     calls = []
-    colon_rule = resolutions._colon_variables
+    rule = resolutions._colon_variables
 
-    def counted(colons):
+    def counted(*args):
         calls.append(1)
-        return colon_rule(colons)
+        return rule(*args)
 
     monkeypatch.setattr(resolutions, "_colon_variables", counted)
     ideal = cover_ideal(parse_construction("complete_bipartite:2,3"))
@@ -379,13 +388,87 @@ def test_lcm_lattice_of_triangle_cover(monkeypatch):
     assert lcm_lattice(MonomialIdeal(U3, [])) == []
 
 
+def test_colon_rule_matches_per_variable_oracle():
+    # every power of the tier-1 corpus in its two sweeps, each raw and
+    # sorted by degree, and in shuffled orders: the same colon variables
+    # where the order passes, the same position where it fails
+    rng = random.Random(3407)
+    cases = dict.fromkeys(HERZOG_TAKAYAMA_CASES + COMPONENTWISE_CASES)
+    cases.update(dict.fromkeys((text, k) for text, k, _, _ in DEGREE_BLOCK_CASES))
+    passed = failed = 0
+    for text, k in cases:
+        pool = sorted(power(cover_ideal(parse_construction(text)), k).gens, key=lambda m: m.exponents)
+        orders = [pool, pool[::-1]]
+        orders += [sorted(order, key=lambda m: m.total_degree) for order in orders]
+        for _ in range(3):
+            orders.append(rng.sample(pool, len(pool)))
+        for order in orders:
+            result = check_linear_quotients(order)
+            expected = colon_rule([m.exponents for m in order])
+            if isinstance(result, LinearQuotientsCertificate):
+                passed += 1
+                assert result.colon_variables == expected, (text, k)
+            else:
+                failed += 1
+                assert result == expected, (text, k)
+    assert (passed, failed) == (39, 108), (passed, failed)
+
+
+def _position_faces(ideal, b):
+    """{F : b / x_F in the ideal} over the subsets F of supp(b), as bitmasks
+    over exponent positions, by division and a scan for a divisor."""
+    universe = ideal.universe
+    names = {universe.index_of(v): v for v in universe.all_vars}
+    support = [p for p, e in enumerate(b.exponents) if e]
+    faces = set()
+    for size in range(len(support) + 1):
+        for combo in combinations(support, size):
+            x_f = universe.monomial({names[p]: 1 for p in combo})
+            if contains(ideal, b / x_f):
+                faces.add(sum(1 << p for p in combo))
+    return faces
+
+
+def test_upper_koszul_faces_match_brute_force():
+    # every lcm-lattice point of the Koszul tables tier-1 builds within the
+    # bounds: the powers k <= 3 of the corpus below, and the small ideals
+    bound = resolutions.BETTI_MAX_GENERATORS
+    ideals = [
+        _ideal(U3, "x1*x2", "x1*x3", "x2*x3"),
+        _ideal(U4, "x1*x3", "x2*x4"),
+        _ideal(U5, "x1*x2", "x3*x4", "x5^4"),
+        _ideal(U5, "x1*x2", "x1*x3", "x4^3*x5"),
+    ]
+    for text in dict.fromkeys(text for text, _ in HERZOG_TAKAYAMA_CASES + COMPONENTWISE_CASES):
+        for k in (1, 2, 3):
+            ideal = power(cover_ideal(parse_construction(text)), k)
+            if len(ideal.gens) <= bound:
+                ideals.append(ideal)
+    points = 0
+    for ideal in ideals:
+        try:
+            lattice = lcm_lattice(ideal)
+        except LatticeLimitExceeded:
+            continue
+        for b in lattice:
+            faces = upper_koszul_faces(ideal, b)
+            assert set().union(*faces.values()) == _position_faces(ideal, b), (ideal, b)
+            for d, masks in faces.items():
+                assert masks == sorted(masks), (ideal, b)
+                assert all(mask.bit_count() == d + 1 for mask in masks), (ideal, b)
+            points += 1
+    assert points == 653, points
+
+
 def test_upper_koszul_faces_worked_example():
+    # faces are bitmasks over exponent positions: x1, x2, x3 are bits 0, 1, 2
+    assert [U3.index_of(v) for v in ("x1", "x2", "x3")] == [0, 1, 2]
     p3 = _ideal(U3, "x2", "x1*x3")
     b = parse_monomial("x1*x2*x3", U3)
     faces = upper_koszul_faces(p3, b)
-    assert faces[-1] == [()]
-    assert sorted(faces[0]) == [("x1",), ("x2",), ("x3",)]
-    assert faces[1] == [("x1", "x3")]
+    assert faces[-1] == [0]
+    assert faces[0] == [0b001, 0b010, 0b100]
+    assert faces[1] == [0b101]
     assert 2 not in faces
 
     # a multidegree outside the ideal has no faces at all
