@@ -15,10 +15,10 @@ componentwise linearity (Herzog-Takayama; Jahan-Zheng).
 Only where the search proves there is no order are Betti numbers computed
 from homology: at every multidegree b of the lcm lattice, the upper Koszul
 complex, whose faces are the subsets of the supports of the colons b : g,
-has its reduced homology taken over the rationals by fraction-free integer
-elimination; linearity is read off the regularity (Eisenbud-Goto, J.
-Algebra 88, 1984: M_{>=r} has an r-linear resolution exactly when
-reg M <= r).
+has its reduced homology taken over the rationals by sparse column
+reduction over the integers (Edelsbrunner-Harer, Computational Topology,
+2010); linearity is read off the regularity (Eisenbud-Goto, J. Algebra
+88, 1984: M_{>=r} has an r-linear resolution exactly when reg M <= r).
 """
 
 from __future__ import annotations
@@ -238,35 +238,6 @@ def _block_order(block: list[int], below: list[int], colons, modulus: int) -> li
 
 
 # ---------------------------------------------------------------------------
-# Exact rank over the integers
-
-
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination; entries stay integers."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = next((k for k in range(r, nrows) if m[k][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for k in range(r + 1, nrows):
-            for c2 in range(c + 1, ncols):
-                m[k][c2] = (m[k][c2] * m[r][c] - m[k][c] * m[r][c2]) // prev
-            m[k][c] = 0
-        prev = m[r][c]
-        rank += 1
-        r += 1
-    return rank
-
-
-# ---------------------------------------------------------------------------
 # Upper Koszul complexes and Betti tables
 
 BETTI_MAX_GENERATORS, MAX_MULTIDEGREES = 18, 4096  # Betti-layer search, lcm lattice
@@ -317,27 +288,41 @@ def upper_koszul_faces(ideal: MonomialIdeal, b: Monomial) -> dict[int, list[int]
     return faces
 
 
+def _rank(columns: list[dict[int, int]]) -> int:
+    """Rank over the rationals of the integer matrix whose columns map rows
+    to nonzero entries, by column reduction without division.
+
+    A column is cleared at its largest row r against the pivot column that
+    owns r, by col = b*col - a*piv with a, b their entries at r; if no pivot
+    owns r, the column becomes its pivot.  Pivots have distinct largest
+    rows, so they are independent and the rank is their number.  The loop
+    ends: piv also has r as its largest row, so each step removes r and
+    adds only smaller rows.  It is exact: scaling by the nonzero b keeps
+    the span, and entries stay integers.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            piv = pivots.setdefault(r := max(col), col)
+            if piv is col:  # no pivot owned r
+                break
+            a, b = col[r], piv[r]
+            col = {i: v for i in col | piv if (v := b * col.get(i, 0) - a * piv.get(i, 0))}
+    return len(pivots)
+
+
 def _reduced_homology_ranks(faces: dict[int, list[int]]) -> dict[int, int]:
-    """dim -> rank of the reduced homology over the rationals."""
-    if not faces:
-        return {}
-    dims = sorted(faces)
-    index = {d: {f: i for i, f in enumerate(faces[d])} for d in dims}
-    boundary_rank: dict[int, int] = {}
-    for d in dims:
-        if d <= -1 or (d - 1) not in faces:
-            boundary_rank[d] = 0
-            continue
-        rows = [[0] * len(faces[d]) for _ in faces[d - 1]]
-        for col, f in enumerate(faces[d]):
-            for k, p in enumerate(p for p in range(f.bit_length()) if f >> p & 1):
-                rows[index[d - 1][f ^ (1 << p)]][col] = -1 if k % 2 else 1
-        boundary_rank[d] = _int_rank(rows)
-    out = {}
-    for d in dims:
-        n_d = len(faces[d])
-        out[d] = n_d - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
-    return out
+    """dim -> rank of the reduced homology over the rationals, n_d minus the
+    ranks of the boundaries out of and into dimension d.  The boundary of a
+    face mask drops one bit, with alternating signs."""
+    rank = {}
+    for d, masks in faces.items():
+        columns = []
+        for f in masks:
+            bits = [p for p in range(f.bit_length()) if f >> p & 1]
+            columns.append({f ^ 1 << p: (-1) ** k for k, p in enumerate(bits)})
+        rank[d] = _rank(columns)
+    return {d: len(masks) - rank[d] - rank.get(d + 1, 0) for d, masks in faces.items()}
 
 
 class BettiTable:

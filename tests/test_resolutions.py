@@ -39,7 +39,12 @@ from oracles import (
 )
 
 from coverrees import resolutions
-from coverrees.resolutions import _int_rank, lcm_lattice, upper_koszul_faces
+from coverrees.resolutions import (
+    _rank,
+    _reduced_homology_ranks,
+    lcm_lattice,
+    upper_koszul_faces,
+)
 
 
 def _ideal(universe, *texts):
@@ -366,16 +371,19 @@ def test_betti_layer_takes_the_search_order(monkeypatch):
         betti_table(ideal, max_generators=27)
 
 
-def test_int_rank_matches_fraction_elimination():
+def test_rank_matches_fraction_elimination():
+    # entries in [-4, 4], so non-unit pivots run; column j of m is the dict
+    # {i: m[i][j]} over its nonzero entries
     rng = random.Random(27)
     for _ in range(200):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        assert _int_rank(m) == fraction_rank(m)
-    assert _int_rank([]) == 0
-    assert _int_rank([[0, 0], [0, 0]]) == 0
-    assert _int_rank([[2, 4], [1, 2]]) == 1
+        columns = [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(cols)]
+        assert _rank(columns) == fraction_rank(m)
+    assert _rank([]) == 0
+    assert _rank([{}, {}]) == 0
+    assert _rank([{0: 2, 1: 1}, {0: 4, 1: 2}]) == 1
 
 
 def test_lcm_lattice_of_triangle_cover(monkeypatch):
@@ -429,9 +437,10 @@ def _position_faces(ideal, b):
     return faces
 
 
-def test_upper_koszul_faces_match_brute_force():
-    # every lcm-lattice point of the Koszul tables tier-1 builds within the
-    # bounds: the powers k <= 3 of the corpus below, and the small ideals
+def _koszul_lattice_points():
+    """(ideal, b) at every lcm-lattice point of the Koszul tables tier-1
+    builds within the bounds: the powers k <= 3 of the corpus below, and
+    the small ideals."""
     bound = resolutions.BETTI_MAX_GENERATORS
     ideals = [
         _ideal(U3, "x1*x2", "x1*x3", "x2*x3"),
@@ -444,20 +453,57 @@ def test_upper_koszul_faces_match_brute_force():
             ideal = power(cover_ideal(parse_construction(text)), k)
             if len(ideal.gens) <= bound:
                 ideals.append(ideal)
-    points = 0
+    points = []
     for ideal in ideals:
         try:
             lattice = lcm_lattice(ideal)
         except LatticeLimitExceeded:
             continue
-        for b in lattice:
-            faces = upper_koszul_faces(ideal, b)
-            assert set().union(*faces.values()) == _position_faces(ideal, b), (ideal, b)
-            for d, masks in faces.items():
-                assert masks == sorted(masks), (ideal, b)
-                assert all(mask.bit_count() == d + 1 for mask in masks), (ideal, b)
-            points += 1
-    assert points == 653, points
+        points += [(ideal, b) for b in lattice]
+    assert len(points) == 653, len(points)
+    return points
+
+
+def test_upper_koszul_faces_match_brute_force():
+    for ideal, b in _koszul_lattice_points():
+        faces = upper_koszul_faces(ideal, b)
+        assert set().union(*faces.values()) == _position_faces(ideal, b), (ideal, b)
+        for d, masks in faces.items():
+            assert masks == sorted(masks), (ideal, b)
+            assert all(mask.bit_count() == d + 1 for mask in masks), (ideal, b)
+
+
+def _dense_homology_ranks(faces):
+    """dim -> reduced homology rank from dense signed boundary matrices over
+    faces as sorted tuples of positions, ranked by ``fraction_rank``."""
+    cells = {
+        d: [tuple(p for p in range(mask.bit_length()) if mask >> p & 1) for mask in masks]
+        for d, masks in faces.items()
+    }
+    ranks = {}
+    for d, columns in cells.items():
+        rows = cells.get(d - 1, [])
+        matrix = [[0] * len(columns) for _ in rows]
+        for j, face in enumerate(columns):
+            for k in range(len(face)):
+                matrix[rows.index(face[:k] + face[k + 1 :])][j] = (-1) ** k
+        ranks[d] = fraction_rank(matrix)
+    return {d: len(cells[d]) - ranks[d] - ranks.get(d + 1, 0) for d in cells}
+
+
+def test_reduced_homology_matches_dense_boundaries():
+    for ideal, b in _koszul_lattice_points():
+        faces = upper_koszul_faces(ideal, b)
+        assert _reduced_homology_ranks(faces) == _dense_homology_ranks(faces), (ideal, b)
+
+    # hand-computed complexes over the vertices 1, 2, 4 (bits 0, 1, 2)
+    hollow_triangle = {-1: [0], 0: [1, 2, 4], 1: [3, 5, 6]}
+    assert _reduced_homology_ranks(hollow_triangle) == {-1: 0, 0: 0, 1: 1}
+    two_points = {-1: [0], 0: [1, 2]}
+    assert _reduced_homology_ranks(two_points) == {-1: 0, 0: 1}
+    simplex = {**hollow_triangle, 2: [7]}
+    assert _reduced_homology_ranks(simplex) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert _reduced_homology_ranks({-1: [0]}) == {-1: 1}
 
 
 def test_upper_koszul_faces_worked_example():
@@ -491,6 +537,15 @@ def test_betti_tables_of_small_ideals():
 
     unit = MonomialIdeal(U3, [U3.one()])
     assert betti_table(unit).entries == {(0, 0): 1}
+
+    # 35 generators and no linear-quotients order: Koszul homology decides
+    c8_squared = power(cover_ideal(parse_construction("cycle:8")), 2)
+    assert betti_table(c8_squared, max_generators=64).entries == {
+        (0, 8): 3, (0, 9): 16, (0, 10): 16,
+        (1, 10): 32, (1, 11): 40,
+        (2, 11): 16, (2, 12): 32,
+        (3, 12): 2, (3, 13): 8,
+    }
 
     zero = MonomialIdeal(U3, [])
     table = betti_table(zero)
