@@ -10,10 +10,11 @@ divisor index, ``monomials._LeadIndex``, whose entries here are the rules
 (lead, trail): only the leads whose support fits inside the monomial's
 are compared exponent by exponent.  The pair update runs on leads
 packed into one int each, a fixed-width field per variable, so a
-divisibility test, a quotient or an lcm is a few word operations.  Toric
-kernels of monomial maps are computed by adjoining an elimination variable,
-which that order puts above every other variable, and keeping the
-elimination-free part of the reduced basis: the reduced basis of the
+divisibility test, a quotient or an lcm is a few word operations.  The
+toric kernel of x_i -> x_i, y_j -> u_j*t is computed from the generators
+u_j by giving the elimination variable t slot 0 of every exponent tuple,
+so that order puts it above every other variable, and keeping the t-free
+part of the reduced basis with slot 0 dropped: the reduced basis of the
 kernel under the same order.
 """
 
@@ -33,7 +34,6 @@ from .monomials import (
     _Packing,
     _monomial,
     _same_universe,
-    variable,
 )
 
 __all__ = [
@@ -370,50 +370,48 @@ def buchberger(
     return GroebnerBasis(universe, tuple(_interreduce([basis[g] for g in live])))
 
 
-def toric_kernel(images: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) -> GroebnerBasis:
-    """Kernel of x_i -> x_i, y_j -> images[j] as a reduced basis.
+def toric_kernel(gens: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) -> GroebnerBasis:
+    """Kernel of x_i -> x_i, y_j -> gens[j] * t as a reduced basis.
 
-    Every image must be a base-block monomial times the elimination
-    variable to the first power (a monomial map into degree one of the
-    auxiliary grading).  The reduced basis of the graph ideal
-    (y_j - image_j) is computed with the elimination variable above
-    everything, and its elimination-free part is returned over the
-    universe without that variable.  Pairs are selected by sugar in the
-    grading w(t) = w(x_i) = 1, w(y_j) = deg images[j], that is deg u_j + 1,
-    under which every generator is homogeneous, and with ``toric``: the
-    graph ideal (y_j - image_j) is prime and holds no monomial.
+    The generators u_j are monomials of one universe holding only the base
+    block.  The reduced basis of the graph ideal (y_j - u_j*t) is computed
+    on exponent tuples laid out (t, y_1..y_q, x_1..x_n), the layout of
+    ``VariableUniverse(s_vars, y_vars, "t")``, so t lies above everything;
+    its t-free part, slot 0 dropped, is returned over the universe without
+    t.  Pairs are selected by sugar in the grading w(t) = w(x_i) = 1,
+    w(y_j) = deg u_j + 1, under which every generator is homogeneous, and
+    with ``toric``: the graph ideal is prime and holds no monomial.
     """
-    if not images:
-        raise ValueError("toric_kernel needs at least one image")
-    u0 = images[0].universe
-    if u0.elim_var is None:
-        raise ValueError("image universe must declare an elimination variable")
-    if u0.y_vars:
-        raise ValueError("image universe must not already contain the adjoined block")
-    full = VariableUniverse(
-        u0.s_vars, tuple(f"y{j}" for j in range(1, len(images) + 1)), u0.elim_var
-    )
-    gens = []
-    for j, img in enumerate(images, start=1):
-        if img.universe != u0:
-            raise ValueError("images live in different universes")
-        if img.y_degree != 0 or img.t_degree != 1:
-            raise ValueError(
-                f"image {img} must be a base monomial times {u0.elim_var} to the first power"
-            )
-        lifted = img.restricted(full)
-        gens.append(oriented_binomial(lifted, variable(full, f"y{j}")))
-    weights = (1,) + tuple(img.total_degree for img in images) + (1,) * len(u0.s_vars)
-    basis = buchberger(gens, degree_cap=degree_cap, weights=weights, toric=True)
-    target = full.drop_elim()
+    if not gens:
+        raise ValueError("toric_kernel needs at least one generator")
+    base = gens[0].universe
+    if base.y_vars or base.elim_var is not None:
+        raise ValueError("the generators must live in a base-block-only universe")
+    if any(u.universe != base for u in gens):
+        raise ValueError("generators live in different universes")
+    q = len(gens)
+    y_vars = tuple(f"y{j}" for j in range(1, q + 1))
+    full = VariableUniverse(base.s_vars, y_vars, "t")
+    n = len(base.s_vars)
+    rees = [
+        oriented_binomial(
+            _term(full, (1,) + (0,) * q + u.exponents),
+            _term(full, (0,) * j + (1,) + (0,) * (q + n - j)),
+        )
+        for j, u in enumerate(gens, start=1)
+    ]
+    weights = (1,) + tuple(u.total_degree + 1 for u in gens) + (1,) * n
+    basis = buchberger(rees, degree_cap=degree_cap, weights=weights, toric=True)
+    target = VariableUniverse(base.s_vars, y_vars)
     kept = []
     for e in basis.elements:
-        if e.lead.t_degree:
+        lead, trail = e._rule
+        if lead[0]:
             continue
-        if e.trail.t_degree:
-            raise AssertionError("elimination-free lead with elimination in the trail")
-        kept.append(Binomial(e.lead.restricted(target), e.trail.restricted(target)))
-    # dropping t, which is 0 on every kept term, leaves the leads ascending
+        if trail[0]:
+            raise AssertionError("t-free lead with t in the trail")
+        kept.append(Binomial(_term(target, lead[1:]), _term(target, trail[1:])))
+    # dropping slot 0, which is 0 on every kept term, leaves the leads ascending
     return GroebnerBasis(target, tuple(kept))
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import combinations_with_replacement, compress
-from operator import add, and_, le, lshift, not_, or_, sub
+from itertools import combinations_with_replacement, compress, groupby
+from operator import add, and_, attrgetter, le, lshift, not_, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -41,8 +41,8 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 class VariableUniverse:
     """Declared variable blocks; the sequence order is the priority.
 
-    ``t_block``, ``y_block`` and ``s_block`` slice a monomial's exponent
-    tuple.
+    ``y_block`` and ``s_block`` slice a monomial's exponent tuple, whose
+    slot 0 holds the elimination variable when there is one.
     """
 
     def __init__(
@@ -67,7 +67,6 @@ class VariableUniverse:
         self._display = tuple((name, index[name]) for name in self.all_vars)
         y_start = len(t_vars)
         s_start = y_start + len(self.y_vars)
-        self.t_block = slice(0, y_start)
         self.y_block = slice(y_start, s_start)
         self.s_block = slice(s_start, None)
 
@@ -77,9 +76,6 @@ class VariableUniverse:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
-
-    def drop_elim(self) -> "VariableUniverse":
-        return VariableUniverse(self.s_vars, self.y_vars, None)
 
     def one(self) -> "Monomial":
         return _monomial(self, (0,) * len(self.all_vars), 0)
@@ -144,10 +140,6 @@ class Monomial:
         return sum(self.exponents[self.universe.y_block])
 
     @property
-    def t_degree(self) -> int:
-        return sum(self.exponents[self.universe.t_block])
-
-    @property
     def is_one(self) -> bool:
         return not self.total_degree
 
@@ -184,10 +176,6 @@ class Monomial:
         _same_universe(self, other)
         exponents = tuple(map(max, self.exponents, other.exponents))
         return _monomial(self.universe, exponents, sum(exponents))
-
-    def restricted(self, universe: VariableUniverse) -> "Monomial":
-        """The same exponents read in another universe (support must fit)."""
-        return Monomial(universe, self.exps)
 
     # -- identity ------------------------------------------------------
 
@@ -363,9 +351,10 @@ class MonomialIdeal:
     """A monomial ideal held as its unique minimal generating set, sorted
     descending under the canonical key so equal ideals compare equal.
 
-    Any generating set may be given: the minimal elements are kept by one
-    scan in ascending degree through a divisor index, since a proper
-    divisor has lower degree and is met first.
+    Any generating set may be given: it is scanned one degree block at a
+    time, ascending.  A proper divisor has strictly lower degree, so each
+    block is checked against the divisor index of the blocks below, and
+    what survives is added whole.
     """
 
     __slots__ = ("universe", "gens")
@@ -375,11 +364,14 @@ class MonomialIdeal:
         if any(g.universe != universe for g in gens):
             raise ValueError("generator outside the declared universe")
         index = _LeadIndex(len(universe.all_vars))
-        for g in sorted(gens, key=lambda m: (m.total_degree, m.exponents)):
-            if index.first_divisor(g.exponents) is None:
-                index.add((g.exponents, g))
+        kept: list[Monomial] = []
+        by_degree = attrgetter("total_degree")
+        for _, block in groupby(sorted(gens, key=by_degree), by_degree):
+            minimal = [g for g in block if index.first_divisor(g.exponents) is None]
+            for g in minimal:
+                index.add((g.exponents,))
+            kept += minimal
         self.universe = universe
-        kept = (entry[1] for entry in index.entries)
         self.gens = tuple(sorted(kept, key=canonical_key, reverse=True))
 
     @property

@@ -20,9 +20,9 @@ from .monomials import (
     MonomialIdeal,
     VariableUniverse,
     _LeadIndex,
+    _monomial,
     canonical_key,
     monomials_of_degree,
-    product,
 )
 
 __all__ = [
@@ -82,12 +82,7 @@ def rees_presentation(
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no Rees presentation")
-    if ideal.universe.y_vars or ideal.universe.elim_var is not None:
-        raise ValueError("the ideal must live in a base-block-only universe")
-    with_t = VariableUniverse(ideal.universe.s_vars, (), "t")
-    t = with_t.monomial({"t": 1})
-    images = [g.restricted(with_t) * t for g in ideal.gens]
-    basis = toric_kernel(images, degree_cap=degree_cap)
+    basis = toric_kernel(ideal.gens, degree_cap=degree_cap)
     return ReesPresentation(
         ideal=ideal,
         generators=ideal.gens,
@@ -185,11 +180,8 @@ def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:
         if index.first_divisor(m.exponents) is None
     ]
     members.sort(key=canonical_key)
-    base = p.ideal.universe
-    mapped = [
-        product(base, _repeat(p.generators, m.exponents[p.universe.y_block]))
-        for m in members
-    ]
+    images = [_image(p, m.exponents) for m in members]
+    mapped = [_monomial(p.ideal.universe, e, sum(e)) for e in images]
     if len(set(mapped)) != len(mapped):
         raise AssertionError("distinct standard monomials mapped to equal generators")
     return StandardMonomialSet(k=k, members=tuple(members), mapped_generators=tuple(mapped))
@@ -207,16 +199,17 @@ def minimal_generation_check(standard: StandardMonomialSet, power: MonomialIdeal
 def pi_image(p: ReesPresentation, m: Monomial) -> Monomial:
     """Image of a presentation-ring monomial in the base ring with the
     auxiliary variable: x_i -> x_i, y_j -> generator_j * t."""
-    u = p.universe
-    if m.universe != u:
+    if m.universe != p.universe:
         raise ValueError("monomial outside the presentation ring")
     with_t = VariableUniverse(p.ideal.universe.s_vars, (), "t")
-    base = dict(zip(u.s_vars, m.exponents[u.s_block]))
-    base["t"] = m.y_degree
-    images = [g.restricted(with_t) for g in p.generators]
-    return product(with_t, [Monomial(with_t, base), *_repeat(images, m.exponents[u.y_block])])
+    image = (m.y_degree,) + _image(p, m.exponents)
+    return _monomial(with_t, image, sum(image))
 
 
-def _repeat(monomials, counts):
-    """Each monomial repeated as often as its count says."""
-    return [f for f, e in zip(monomials, counts) for _ in range(e)]
+def _image(p: ReesPresentation, exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """The base exponents of y^e * x^a's image: a + sum of e_j * u_j."""
+    image = exponents[p.universe.s_block]
+    for e, g in zip(exponents[p.universe.y_block], p.generators):
+        if e:
+            image = tuple([a + e * b for a, b in zip(image, g.exponents)])
+    return image

@@ -28,14 +28,6 @@ def _mk(text, universe):
     return parse_monomial(text, universe)
 
 
-def _cover_images(graph):
-    """The y_j -> u_j * t images for a graph's cover ideal, lex-descending."""
-    ideal = cover_ideal(graph)
-    ext = VariableUniverse(ideal.universe.s_vars, (), "t")
-    t = variable(ext, "t")
-    return [g.restricted(ext) * t for g in ideal.gens]
-
-
 def test_binomial_construction():
     u = VariableUniverse(("x1", "x2"), ("y1", "y2"))
     a = _mk("x1*y1", u)
@@ -120,29 +112,29 @@ def test_buchberger_reorients_inputs():
 
 
 def test_kernel_of_two_vertex_graph():
-    basis = toric_kernel(_cover_images(standard_family("path", 2)))
+    basis = toric_kernel(cover_ideal(standard_family("path", 2)).gens)
     assert basis.dump() == "x2*y1 - x1*y2"
     assert basis.universe.elim_var is None
 
 
 def test_kernel_of_three_path():
-    basis = toric_kernel(_cover_images(standard_family("path", 3)))
+    basis = toric_kernel(cover_ideal(standard_family("path", 3)).gens)
     assert basis.dump() == "x2*y1 - x1*x3*y2"
 
 
 def test_kernel_of_four_cycle():
-    basis = toric_kernel(_cover_images(standard_family("cycle", 4)))
+    basis = toric_kernel(cover_ideal(standard_family("cycle", 4)).gens)
     assert basis.dump() == "x2*x4*y1 - x1*x3*y2"
 
 
 def test_kernel_of_star():
-    basis = toric_kernel(_cover_images(standard_family("star", 3)))
+    basis = toric_kernel(cover_ideal(standard_family("star", 3)).gens)
     assert basis.dump() == "x1*y1 - z1*z2*z3*y2"
 
 
 def test_kernel_of_triangle():
     # covers of the triangle: x1*x2 > x1*x3 > x2*x3 in the priority order
-    basis = toric_kernel(_cover_images(standard_family("complete", 3)))
+    basis = toric_kernel(cover_ideal(standard_family("complete", 3)).gens)
     assert basis.dump() == "x2*y2 - x1*y3\nx3*y1 - x1*y3"
     assert is_groebner_basis(basis)
     lead_strings = {str(g) for g in basis.initial_ideal.gens}
@@ -151,9 +143,8 @@ def test_kernel_of_triangle():
 
 
 def test_kernel_of_principal_ideal_is_empty():
-    u = VariableUniverse(("x1", "x2"), (), "t")
-    img = [_mk("x1*x2*t", u)]
-    basis = toric_kernel(img)
+    u = VariableUniverse(("x1", "x2"))
+    basis = toric_kernel([_mk("x1*x2", u)])
     assert basis.elements == ()
     assert is_groebner_basis(basis)
 
@@ -161,53 +152,48 @@ def test_kernel_of_principal_ideal_is_empty():
 def test_kernel_of_distinct_variables_is_koszul():
     # base variables map to themselves, so the kernel holds the full set of
     # Koszul relations x_j*y_i - x_i*y_j, not just relations among the y's
-    u = VariableUniverse(("x1", "x2", "x3"), (), "t")
-    images = [_mk("x1*t", u), _mk("x2*t", u), _mk("x3*t", u)]
-    basis = toric_kernel(images)
+    u = VariableUniverse(("x1", "x2", "x3"))
+    gens = [_mk("x1", u), _mk("x2", u), _mk("x3", u)]
+    basis = toric_kernel(gens)
     assert basis.dump() == "x3*y2 - x2*y3\nx3*y1 - x1*y3\nx2*y1 - x1*y2"
     assert is_groebner_basis(basis)
 
 
 def test_kernel_of_squared_variable_map():
-    # images x1^2, x1*x2, x2^2: two exchange relations plus the classical
-    # quadric among the y's
-    u = VariableUniverse(("x1", "x2"), (), "t")
-    images = [_mk("x1^2*t", u), _mk("x1*x2*t", u), _mk("x2^2*t", u)]
-    basis = toric_kernel(images)
+    # generators x1^2, x1*x2, x2^2: two exchange relations plus the
+    # classical quadric among the y's
+    u = VariableUniverse(("x1", "x2"))
+    gens = [_mk("x1^2", u), _mk("x1*x2", u), _mk("x2^2", u)]
+    basis = toric_kernel(gens)
     assert basis.dump() == "x2*y2 - x1*y3\nx2*y1 - x1*y2\ny1*y3 - y2^2"
     assert is_groebner_basis(basis)
 
 
-def test_toric_kernel_validates_images():
-    with pytest.raises(ValueError):
+def test_toric_kernel_validates_generators():
+    with pytest.raises(ValueError, match="at least one generator"):
         toric_kernel([])
-    no_t = VariableUniverse(("x1",))
-    with pytest.raises(ValueError):
-        toric_kernel([variable(no_t, "x1")])
-    with_y = VariableUniverse(("x1",), ("y1",), "t")
-    with pytest.raises(ValueError):
-        toric_kernel([_mk("x1*t", with_y)])
-    ext = VariableUniverse(("x1", "x2"), (), "t")
-    with pytest.raises(ValueError):
-        toric_kernel([_mk("x1*t^2", ext)])
-    with pytest.raises(ValueError):
-        toric_kernel([_mk("x1", ext)])
-    other = VariableUniverse(("x1", "x2", "x3"), (), "t")
-    with pytest.raises(ValueError):
-        toric_kernel([_mk("x1*t", ext), _mk("x2*t", other)])
+    for blocks in [(("y1",), None), ((), "t"), (("y1",), "t")]:
+        extended = VariableUniverse(("x1",), *blocks)
+        with pytest.raises(ValueError, match="base-block-only"):
+            toric_kernel([_mk("x1", extended)])
+    base = VariableUniverse(("x1", "x2"))
+    other = VariableUniverse(("x1", "x2", "x3"))
+    with pytest.raises(ValueError, match="different universes"):
+        toric_kernel([_mk("x1", base), _mk("x2", other)])
 
 
-def _evaluate(m, images, ext):
-    """Substitute y_j -> images[j] and keep the base part; a direct check
+def _evaluate(m, gens):
+    """Substitute y_j -> gens[j] and keep the base part; a direct check
     that kernel elements really are relations of the monomial map."""
-    out = ext.one()
+    base = gens[0].universe
+    out = base.one()
     for idx, e in enumerate(m.exponents[m.universe.y_block]):
         for _ in range(e):
-            out = out * images[idx]
+            out = out * gens[idx]
     y_vars = set(m.universe.y_vars)
     for name, e in m.exps.items():
         if name not in y_vars:
-            out = out * ext.monomial({name: e})
+            out = out * base.monomial({name: e})
     return out
 
 
@@ -223,18 +209,17 @@ CORPUS = [
 
 def test_kernel_elements_are_relations():
     for g in CORPUS:
-        images = _cover_images(g)
-        ext = images[0].universe
-        basis = toric_kernel(images)
+        gens = cover_ideal(g).gens
+        basis = toric_kernel(gens)
         assert basis.universe.elim_var is None
         for e in basis.elements:
             assert e.lead.y_degree == e.trail.y_degree
-            assert _evaluate(e.lead, images, ext) == _evaluate(e.trail, images, ext)
+            assert _evaluate(e.lead, gens) == _evaluate(e.trail, gens)
 
 
 def test_kernel_is_groebner_and_reduced():
     for g in CORPUS:
-        basis = toric_kernel(_cover_images(g))
+        basis = toric_kernel(cover_ideal(g).gens)
         assert is_groebner_basis(basis)
         # reduced: leads form an antichain and no lead divides any trail
         elems = basis.elements
@@ -247,7 +232,7 @@ def test_kernel_is_groebner_and_reduced():
 
 def test_buchberger_is_idempotent_on_reduced_bases():
     for g in CORPUS:
-        basis = toric_kernel(_cover_images(g))
+        basis = toric_kernel(cover_ideal(g).gens)
         if not basis.elements:
             continue
         again = buchberger(basis.elements)
@@ -260,9 +245,8 @@ def test_low_degree_relations_reduce_to_zero():
     from itertools import combinations_with_replacement
 
     for g in CORPUS:
-        images = _cover_images(g)
-        ext = images[0].universe
-        basis = toric_kernel(images)
+        gens = cover_ideal(g).gens
+        basis = toric_kernel(gens)
         universe = basis.universe
         words = [universe.one()]
         for d in (1, 2):
@@ -273,7 +257,8 @@ def test_low_degree_relations_reduce_to_zero():
                 words.append(universe.monomial(exps))
         by_image = {}
         for w in words:
-            key = _evaluate(w, images, ext)
+            # the image y^a -> u^a * t^|a|, with the power of t as y-degree
+            key = (w.y_degree, _evaluate(w, gens))
             by_image.setdefault(key, []).append(w)
         for group in by_image.values():
             for i in range(len(group)):
@@ -283,29 +268,28 @@ def test_low_degree_relations_reduce_to_zero():
                     assert reduce_binomial(b, basis.elements) is None
 
 
-def _rees_generators(images):
+def _rees_generators(gens):
     """The generators y_j - u_j*t over the universe with t and the y-block."""
-    u0 = images[0].universe
-    full = VariableUniverse(
-        u0.s_vars, tuple(f"y{j}" for j in range(1, len(images) + 1)), u0.elim_var
-    )
+    base = gens[0].universe
+    full = VariableUniverse(base.s_vars, tuple(f"y{j}" for j in range(1, len(gens) + 1)), "t")
+    t = variable(full, "t")
     return [
-        oriented_binomial(img.restricted(full), variable(full, f"y{j}"))
-        for j, img in enumerate(images, start=1)
+        oriented_binomial(full.monomial(u.exps) * t, variable(full, f"y{j}"))
+        for j, u in enumerate(gens, start=1)
     ]
 
 
-def _rees_weights(images):
+def _rees_weights(gens):
     """The grading under which the Rees generators are homogeneous."""
-    base = len(images[0].universe.s_vars)
-    return (1,) + tuple(img.total_degree for img in images) + (1,) * base
+    base = len(gens[0].universe.s_vars)
+    return (1,) + tuple(u.total_degree + 1 for u in gens) + (1,) * base
 
 
 def test_elimination_generators_reduce_to_zero():
     # soundness of the elimination stage: the defining generators y_j - u_j t
     # lie in the ideal spanned by the full elimination-order basis
     for g in CORPUS:
-        gens = _rees_generators(_cover_images(g))
+        gens = _rees_generators(cover_ideal(g).gens)
         full_basis = buchberger(gens)
         for b in gens:
             assert reduce_binomial(b, full_basis.elements) is None
@@ -314,9 +298,9 @@ def test_elimination_generators_reduce_to_zero():
 def test_reduced_basis_does_not_depend_on_the_grading():
     # the grading only orders the pairs; the reduced basis is unique
     for g in CORPUS:
-        images = _cover_images(g)
-        gens = _rees_generators(images)
-        weights = _rees_weights(images)
+        covers = cover_ideal(g).gens
+        gens = _rees_generators(covers)
+        weights = _rees_weights(covers)
         assert any(w > 1 for w in weights)
         toric = buchberger(gens, weights=weights)
         assert toric.elements == buchberger(gens).elements
@@ -325,16 +309,16 @@ def test_reduced_basis_does_not_depend_on_the_grading():
 def test_toric_criterion_keeps_the_basis():
     # the gcd criterion only skips work: the reduced basis is unique
     for g in CORPUS + [parse_construction("cycle:7"), parse_construction("friendship:3")]:
-        images = _cover_images(g)
-        gens = _rees_generators(images)
-        weights = _rees_weights(images)
+        covers = cover_ideal(g).gens
+        gens = _rees_generators(covers)
+        weights = _rees_weights(covers)
         toric = buchberger(gens, weights=weights, toric=True)
         assert toric.elements == buchberger(gens, weights=weights).elements
 
 
 def test_toric_needs_homogeneous_generators():
-    images = _cover_images(standard_family("path", 3))
-    gens = _rees_generators(images)
+    covers = cover_ideal(standard_family("path", 3)).gens
+    gens = _rees_generators(covers)
     # y_j - u_j*t is not homogeneous in the standard grading
     with pytest.raises(ValueError, match="homogeneous"):
         buchberger(gens, toric=True)
@@ -343,15 +327,15 @@ def test_toric_needs_homogeneous_generators():
         buchberger([Binomial(_mk("x1", u), _mk("x2^2", u))], toric=True)
     with pytest.raises(ValueError, match="homogeneous"):
         buchberger([Binomial(_mk("x1^2", u), _mk("x2", u))], weights=(1, 3), toric=True)
-    assert buchberger(gens, weights=_rees_weights(images), toric=True).elements
+    assert buchberger(gens, weights=_rees_weights(covers), toric=True).elements
 
 
 def test_toric_criterion_drops_a_pair_when_formed(monkeypatch):
     # for the edge, the pair (x2*t - y2, x2*y1 - x1*y2) has the S-binomial
     # x1*y2*t - y1*y2, whose terms share y2: the toric run never forms it
-    images = _cover_images(standard_family("path", 2))
-    gens = _rees_generators(images)
-    weights = _rees_weights(images)
+    covers = cover_ideal(standard_family("path", 2)).gens
+    gens = _rees_generators(covers)
+    weights = _rees_weights(covers)
     seen = []
     real_s_pair = binomial_gb.s_pair
 
@@ -394,11 +378,11 @@ def test_buchberger_rejects_bad_weights():
 
 
 def test_degree_cap_aborts():
-    u = VariableUniverse(("x1", "x2"), (), "t")
-    images = [_mk("x1*t", u), _mk("x2*t", u)]
+    u = VariableUniverse(("x1", "x2"))
+    gens = [_mk("x1", u), _mk("x2", u)]
     with pytest.raises(DegreeCapExceeded):
-        toric_kernel(images, degree_cap=1)
-    ok = toric_kernel(images, degree_cap=2)
+        toric_kernel(gens, degree_cap=1)
+    ok = toric_kernel(gens, degree_cap=2)
     assert ok.dump() == "x2*y1 - x1*y2"
 
 
@@ -547,7 +531,7 @@ def test_lead_index_finds_the_first_live_divisor():
     assert found > 100 and missed > 100
 
 
-# (S-pairs, reductions, zero reductions) of toric_kernel on cover images;
+# (S-pairs, reductions, zero reductions) of toric_kernel on cover ideals;
 # any drift in the pair selection order or the criteria moves them.
 PAIR_SEQUENCE_COUNTS = {
     "path:7": (34, 34, 19),
@@ -578,5 +562,5 @@ def test_pair_sequence_is_pinned(monkeypatch):
     monkeypatch.setattr(binomial_gb, "reduce_binomial", counting_reduce)
     for text, want in PAIR_SEQUENCE_COUNTS.items():
         counts.update(s_pairs=0, reductions=0, zero=0)
-        toric_kernel(_cover_images(parse_construction(text)))
+        toric_kernel(cover_ideal(parse_construction(text)).gens)
         assert (counts["s_pairs"], counts["reductions"], counts["zero"]) == want, text

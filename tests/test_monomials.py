@@ -44,7 +44,7 @@ def test_universe_blocks():
     assert u.all_vars == ("x1", "x2", "y1", "t")
     assert _block_names(u, u.s_block) == {"x1", "x2"}
     assert _block_names(u, u.y_block) == {"y1"}
-    assert _block_names(u, u.t_block) == {"t"}
+    assert u.index_of("t") == 0
     with pytest.raises(KeyError):
         u.index_of("q")
 
@@ -61,10 +61,16 @@ def test_universe_validation():
 
 
 def test_universe_extension():
+    # the t slot comes first, so a t-free tuple without slot 0 is the same
+    # monomial in the universe without t
     ext = VariableUniverse(("x1", "x2"), ("y1", "y2", "y3"), "t")
-    assert ext.drop_elim().elim_var is None
-    assert ext.drop_elim().y_vars == ("y1", "y2", "y3")
-    assert ext.drop_elim().s_vars == ("x1", "x2")
+    no_t = VariableUniverse(ext.s_vars, ext.y_vars)
+    assert no_t.elim_var is None and no_t != ext
+    assert no_t.y_vars == ("y1", "y2", "y3")
+    assert no_t.s_vars == ("x1", "x2")
+    m = ext.monomial({"x1": 1, "y2": 2})
+    assert m.exponents[0] == 0
+    assert no_t.monomial(m.exps).exponents == m.exponents[1:]
 
 
 def test_monomial_basic_arithmetic():
@@ -99,7 +105,7 @@ def test_monomial_degrees_by_block():
     m = u.monomial({"x1": 1, "x2": 2, "y2": 3, "t": 1})
     assert m.s_degree == 3
     assert m.y_degree == 3
-    assert m.t_degree == 1
+    assert m.exponents[u.index_of("t")] == 1
     assert m.total_degree == 7
     assert m.exps["y2"] == 3 and "y1" not in m.exps
 
@@ -110,10 +116,11 @@ def test_degree_caches_stay_consistent():
         u = random_universe(rng, with_t=rng.random() < 0.5)
         m = random_monomial(rng, u)
         assert m.total_degree == sum(m.exps.values())
-        blocks = ((m.s_degree, u.s_block), (m.y_degree, u.y_block), (m.t_degree, u.t_block))
-        for degree, block in blocks:
+        for degree, block in ((m.s_degree, u.s_block), (m.y_degree, u.y_block)):
             names = _block_names(u, block)
             assert degree == sum(e for v, e in m.exps.items() if v in names)
+        t_degree = m.exps.get(u.elim_var, 0)
+        assert m.total_degree == m.s_degree + m.y_degree + t_degree
 
 
 def test_monomials_format_and_parse():
@@ -137,16 +144,6 @@ def test_format_follows_universe_priority():
     u = VariableUniverse(("b", "a"), ("y1",), "t")
     m = u.monomial({"a": 1, "b": 1, "t": 2, "y1": 1})
     assert str(m) == "b*a*y1*t^2"
-
-
-def test_restricted_moves_between_universes():
-    big = VariableUniverse(("x1", "x2"), ("y1",), "t")
-    small = VariableUniverse(("x1", "x2"), ("y1",))
-    m = big.monomial({"x1": 1, "y1": 2})
-    assert m.restricted(small).exps == {"x1": 1, "y1": 2}
-    with_t = big.monomial({"t": 1})
-    with pytest.raises(KeyError):
-        with_t.restricted(small)
 
 
 def test_cross_universe_operations_rejected():
@@ -188,9 +185,9 @@ def test_order_examples():
     # any elimination degree beats everything without it
     assert compare_monomials(ty1, xy) == 1
     # without t, the comparison is the one of the universe without t
-    no_t = u.drop_elim()
+    no_t = VariableUniverse(u.s_vars, u.y_vars)
     assert compare_monomials(x2y1, x1x3y2) == compare_monomials(
-        x2y1.restricted(no_t), x1x3y2.restricted(no_t)
+        no_t.monomial({"x2": 1, "y1": 1}), no_t.monomial({"x1": 1, "x3": 1, "y2": 1})
     )
 
     x1x3 = u.monomial({"x1": 1, "x3": 1})

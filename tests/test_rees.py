@@ -17,6 +17,7 @@ from coverrees import (
     minimal_generation_check,
     parse_monomial,
     power,
+    product,
     rees_presentation,
     standard_family,
     standard_monomials,
@@ -285,6 +286,55 @@ def test_standard_images_lie_in_the_power():
             kth = power(p.ideal, k)
             for m in sm.mapped_generators:
                 assert contains(kth, m)
+
+
+IMAGE_CORPUS = [
+    "edgeless:2",
+    "path:3",
+    "complete:3",
+    "cycle:4",
+    "cycle:5",
+    "star:4",
+    "friendship:2",
+    "cone(cycle:5)",
+    "attach(edge;edge,edge)",
+]
+
+
+def _repeated_generators(p, m):
+    """Each generator u_j repeated e_j times, for y^e the y-part of m."""
+    counts = m.exponents[p.universe.y_block]
+    return [u for u, e in zip(p.generators, counts) for _ in range(e)]
+
+
+def _generator_product(p, m):
+    """m's image formed factor by factor: the x-part, the repeated
+    generators, and t to the y-degree."""
+    with_t = VariableUniverse(p.universe.s_vars, (), "t")
+    x_part = {v: e for v, e in m.exps.items() if v in with_t.s_vars}
+    factors = [with_t.monomial(x_part), with_t.monomial({"t": m.y_degree})]
+    factors += [with_t.monomial(u.exps) for u in _repeated_generators(p, m)]
+    return product(with_t, factors)
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert (str(got), got.total_degree) == (str(want), want.total_degree)
+
+
+def test_images_match_generator_products():
+    # pi_image and the mapped standard monomials read exponent tuples; they
+    # must agree with the products of generators, exponents included
+    for text in IMAGE_CORPUS:
+        p = _present(parse_construction(text))
+        for e in p.basis.elements:
+            for m in (e.lead, e.trail):
+                _assert_same(pi_image(p, m), _generator_product(p, m))
+        for k in (1, 2, 3):
+            sm = standard_monomials(p, k)
+            for m, mapped in zip(sm.members, sm.mapped_generators):
+                _assert_same(pi_image(p, m), _generator_product(p, m))
+                _assert_same(mapped, product(p.ideal.universe, _repeated_generators(p, m)))
 
 
 def _fiber_inputs(presentation):
