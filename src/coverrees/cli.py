@@ -106,7 +106,8 @@ def cmd_rees(args) -> int:
     if presentation.degenerate:
         print("note: unit cover ideal (edgeless graph); kernel is zero")
     if args.json:
-        _write_json(args.json, _rees_report_doc(report, presentation))
+        doc = _rees_report_doc(report, presentation)
+        _write_json(args.json, {**doc, "kernel_counts": presentation.basis.counts})
     return 0
 
 
@@ -182,6 +183,7 @@ def cmd_analyze(args) -> int:
         "degenerate": degenerate,
         "notes": notes,
         "x_condition": _rees_report_doc(report, presentation),
+        "kernel_counts": presentation.basis.counts,
         "powers": powers_doc,
         "predictions_apply": predictions_apply,
         "prediction_failures": failures,

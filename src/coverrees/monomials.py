@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from functools import reduce
 from itertools import combinations_with_replacement, compress, groupby
-from operator import add, and_, attrgetter, le, lshift, not_, or_, sub
+from operator import add, and_, attrgetter, le, lshift, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -218,35 +218,47 @@ class _Packing:
     the largest exponent, so the top (guard) bit of each field stays clear,
     fieldwise arithmetic never borrows or carries across fields, and a
     word's degree is its remainder modulo ``modulus``, the mask of a field.
+    ``guards`` holds every field's guard bit.
     """
 
-    __slots__ = ("shifts", "modulus", "_ones", "_guards")
+    __slots__ = ("shifts", "modulus", "guards", "_ones", "_sentinel")
+    _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
     def __init__(self, n: int, top: int):
         width = top.bit_length() + 1
         self.shifts = tuple(width * (n - 1 - v) for v in range(n))
         self.modulus = (1 << width) - 1
         self._ones = sum(1 << s for s in self.shifts)
-        self._guards = self._ones << (width - 1)
+        self.guards = self._ones << (width - 1)
+        self._sentinel = 1 << (n * width)
 
     def pack(self, exponents: Sequence[int]) -> int:
         return sum(map(lshift, exponents, self.shifts))
 
+    def unpack(self, word: int) -> tuple[int, ...]:
+        return tuple([word >> s & self.modulus for s in self.shifts])
+
     def colons(self, words: Iterable[int], b: int) -> list[int]:
         """Each word's colon a : b, the fieldwise (a - b)+: (a | guards) - b
         keeps a field's guard bit exactly where a >= b, masking what to keep."""
-        guards, sh = self._guards, self.modulus.bit_length() - 1
+        guards, sh = self.guards, self.modulus.bit_length() - 1
         diffs = [(a | guards) - b for a in words]
         return [d & ((kept := d & guards) - (kept >> sh)) for d in diffs]
 
     def has_divisor(self, words: Iterable[int], b: int) -> bool:
         """Whether some word a divides b: (b | guards) - a keeps every guard."""
-        guards, kept = self._guards, b | self._guards
+        guards, kept = self.guards, b | self.guards
         return any((kept - a) & guards == guards for a in words)
 
     def support(self, word: int) -> int:
         """The guard bits of the word's nonzero fields."""
-        return ((word | self._guards) - self._ones) & self._guards
+        return ((word | self.guards) - self._ones) & self.guards
+
+    def fields(self, mask: int) -> bytes:
+        """One byte per field: 1 where ``mask`` sets the field's guard bit."""
+        # the guard bits are every width-th binary digit after the sentinel
+        digits = format(mask | self._sentinel, "b")[1 :: self.modulus.bit_length()]
+        return digits.encode().translate(self._DIGITS)
 
     def positions(self, word: int) -> int:
         """The word's nonzero fields as a bitmask over exponent positions."""
@@ -298,51 +310,54 @@ def canonical_key(m: Monomial) -> tuple[int, ...]:
 
 
 class _LeadIndex:
-    """Tuples led by an exponent tuple, indexed by the support of that lead.
+    """Leads packed by one ``_Packing``, indexed by their support.
 
-    Bit g of an int bitset stands for ``entries[g]``.  ``has[v]`` holds
-    the entries whose lead uses variable v, and ``alive`` those still in
-    use.  The live entries whose lead support fits inside supp(m) are then
+    Bit g of an int bitset stands for ``leads[g]``.  ``has[v]`` holds the
+    leads that use variable v, and ``alive`` those still in use.  The live
+    leads whose support fits inside supp(m) are then
     ``alive & ~OR{has[v] : m_v = 0}``; they are tried from the lowest bit
     up, so a lookup finds the first live divisor in insertion order.
     """
 
-    __slots__ = ("entries", "has", "alive")
+    __slots__ = ("packing", "leads", "has", "alive")
 
-    def __init__(self, width: int, entries: Iterable[tuple] = ()):
-        self.entries: list[tuple] = []
-        self.has = [0] * width
+    def __init__(self, packing: _Packing, leads: Iterable[int] = ()):
+        self.packing = packing
+        self.leads: list[int] = []
+        self.has = [0] * len(packing.shifts)
         self.alive = 0
-        for entry in entries:
-            self.add(entry)
+        for lead in leads:
+            self.add(lead)
 
-    def add(self, entry: tuple) -> None:
-        bit = 1 << len(self.entries)
-        self.entries.append(entry)
-        has = self.has
-        for v in compress(range(len(has)), entry[0]):
+    def add(self, lead: int) -> None:
+        bit = 1 << len(self.leads)
+        self.leads.append(lead)
+        has, packing = self.has, self.packing
+        for v in compress(range(len(has)), packing.fields(packing.support(lead))):
             has[v] |= bit
         self.alive |= bit
 
-    def first_divisor(self, m: tuple[int, ...]) -> tuple | None:
-        """The first live entry whose lead divides m; None when none does."""
-        entries = self.entries
-        candidates = self.alive & ~reduce(or_, compress(self.has, map(not_, m)), 0)
+    def first_divisor(self, m: int) -> int | None:
+        """The position of the first live lead dividing m; None when none does."""
+        packing, leads, guards = self.packing, self.leads, self.packing.guards
+        zero = packing.fields(guards ^ packing.support(m))
+        candidates = self.alive & ~reduce(or_, compress(self.has, zero), 0)
+        kept = m | guards
         while candidates:
             low = candidates & -candidates
-            entry = entries[low.bit_length() - 1]
-            if all(map(le, entry[0], m)):
-                return entry
+            g = low.bit_length() - 1
+            if (kept - leads[g]) & guards == guards:
+                return g
             candidates ^= low
         return None
 
-    def retire(self, m: tuple[int, ...]) -> None:
-        """Mark dead every live entry whose lead m divides."""
-        entries = self.entries
-        candidates = reduce(and_, compress(self.has, m), self.alive)
+    def retire(self, m: int) -> None:
+        """Mark dead every live lead that m divides."""
+        packing, leads, guards = self.packing, self.leads, self.packing.guards
+        candidates = reduce(and_, compress(self.has, packing.fields(packing.support(m))), self.alive)
         while candidates:
             low = candidates & -candidates
-            if all(map(le, m, entries[low.bit_length() - 1][0])):
+            if ((leads[low.bit_length() - 1] | guards) - m) & guards == guards:
                 self.alive ^= low
             candidates ^= low
 
@@ -363,13 +378,15 @@ class MonomialIdeal:
         gens = set(gens)
         if any(g.universe != universe for g in gens):
             raise ValueError("generator outside the declared universe")
-        index = _LeadIndex(len(universe.all_vars))
+        packing = _Packing(len(universe.all_vars), max((g.total_degree for g in gens), default=0))
+        index = _LeadIndex(packing)
         kept: list[Monomial] = []
         by_degree = attrgetter("total_degree")
         for _, block in groupby(sorted(gens, key=by_degree), by_degree):
-            minimal = [g for g in block if index.first_divisor(g.exponents) is None]
+            words = {g: packing.pack(g.exponents) for g in block}
+            minimal = [g for g, word in words.items() if index.first_divisor(word) is None]
             for g in minimal:
-                index.add((g.exponents,))
+                index.add(words[g])
             kept += minimal
         self.universe = universe
         self.gens = tuple(sorted(kept, key=canonical_key, reverse=True))
@@ -407,15 +424,13 @@ class MonomialIdeal:
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """I^k via k-fold products of generators, of which the constructor keeps
-    the minimal ones."""
+    """I^k via k-fold products of generators, each one sum of exponent
+    tuples, of which the constructor keeps the minimal ones."""
     if k < 1:
         raise ValueError("power expects k >= 1")
-    prods = {
-        product(ideal.universe, combo)
-        for combo in combinations_with_replacement(ideal.gens, k)
-    }
-    return MonomialIdeal(ideal.universe, prods)
+    gens = [g.exponents for g in ideal.gens]
+    prods = {tuple(map(sum, zip(*combo))) for combo in combinations_with_replacement(gens, k)}
+    return MonomialIdeal(ideal.universe, (_monomial(ideal.universe, e, sum(e)) for e in prods))
 
 
 def monomials_of_degree(

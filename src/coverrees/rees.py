@@ -20,6 +20,7 @@ from .monomials import (
     MonomialIdeal,
     VariableUniverse,
     _LeadIndex,
+    _Packing,
     _monomial,
     canonical_key,
     monomials_of_degree,
@@ -173,11 +174,12 @@ def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:
     if k < 1:
         raise ValueError("standard_monomials expects k >= 1")
     in_gens = p.basis.initial_ideal.gens
-    index = _LeadIndex(len(p.universe.all_vars), [(m.exponents,) for m in in_gens])
+    packing = _Packing(len(p.universe.all_vars), max([k] + [m.total_degree for m in in_gens]))
+    index = _LeadIndex(packing, [packing.pack(m.exponents) for m in in_gens])
     members = [
         m
         for m in monomials_of_degree(p.universe, k, p.universe.y_vars)
-        if index.first_divisor(m.exponents) is None
+        if index.first_divisor(packing.pack(m.exponents)) is None
     ]
     members.sort(key=canonical_key)
     images = [_image(p, m.exponents) for m in members]

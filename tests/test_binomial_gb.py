@@ -5,6 +5,8 @@ import random
 import pytest
 
 import coverrees.binomial_gb as binomial_gb
+from coverrees.monomials import _LeadIndex as LeadIndex
+from coverrees.monomials import _Packing as Packing
 from coverrees import (
     Binomial,
     DegreeCapExceeded,
@@ -330,28 +332,26 @@ def test_toric_needs_homogeneous_generators():
     assert buchberger(gens, weights=_rees_weights(covers), toric=True).elements
 
 
-def test_toric_criterion_drops_a_pair_when_formed(monkeypatch):
+def test_toric_criterion_drops_a_pair_when_formed():
     # for the edge, the pair (x2*t - y2, x2*y1 - x1*y2) has the S-binomial
-    # x1*y2*t - y1*y2, whose terms share y2: the toric run never forms it
+    # x1*y2*t - y1*y2, whose terms share y2: the plain run pops it and
+    # reduces it to zero, the toric run drops it when it is formed
     covers = cover_ideal(standard_family("path", 2)).gens
     gens = _rees_generators(covers)
     weights = _rees_weights(covers)
-    seen = []
-    real_s_pair = binomial_gb.s_pair
-
-    def recording_s_pair(f, g):
-        s = real_s_pair(f, g)
-        seen.append((str(f), str(g), str(s)))
-        return s
-
-    monkeypatch.setattr(binomial_gb, "s_pair", recording_s_pair)
     plain = buchberger(gens, weights=weights)
-    dropped = ("x2*t - y2", "x2*y1 - x1*y2", "x1*y2*t - y1*y2")
-    assert seen == [("x1*t - y1", "x2*t - y2", "x2*y1 - x1*y2"), dropped]
-    seen.clear()
+    u = plain.universe
+    first = s_pair(*gens)
+    assert first == Binomial(_mk("x2*y1", u), _mk("x1*y2", u))
+    dropped = s_pair(Binomial(_mk("x2*t", u), _mk("y2", u)), first)
+    assert dropped == Binomial(_mk("x1*y2*t", u), _mk("y1*y2", u))
+    assert reduce_binomial(dropped, plain.elements) is None
+    counted = ("pairs_popped", "pairs_dropped_toric", "reductions", "zero_reductions")
+    assert [plain.counts[c] for c in counted] == [2, 0, 2, 1]
     toric = buchberger(gens, weights=weights, toric=True)
-    assert seen == [("x1*t - y1", "x2*t - y2", "x2*y1 - x1*y2")]
+    assert [toric.counts[c] for c in counted] == [1, 1, 1, 0]
     assert toric.elements == plain.elements
+    assert first in toric.elements
 
 
 def test_toric_reduction_stops_on_a_shared_variable():
@@ -454,7 +454,7 @@ def test_field_width_does_not_change_the_basis():
     assert ran >= 20
 
 
-def test_input_terms_above_the_degree_cap(monkeypatch):
+def test_input_terms_above_the_degree_cap():
     # the fields are sized for the largest input term, not only for the cap:
     # x3^300 is coprime to every other lead, so it forms no S-pair whatever
     # the cap, and the pair sequence is the one a wide field gives
@@ -465,28 +465,50 @@ def test_input_terms_above_the_degree_cap(monkeypatch):
         Binomial(_mk("x2*x4", u), _mk("x5^2", u)),
         Binomial(_mk("x1*x2", u), _mk("x4*x6", u)),
     ]
-    seen = []
-    real_s_pair = binomial_gb.s_pair
-
-    def recording_s_pair(f, g):
-        seen.append((f, g))
-        return real_s_pair(f, g)
-
-    monkeypatch.setattr(binomial_gb, "s_pair", recording_s_pair)
     basis = buchberger(gens, degree_cap=40)
-    tight = list(seen)
-    seen.clear()
-    assert basis.elements == buchberger(gens, degree_cap=400).elements
-    assert tight == seen
-    assert all(gens[0] not in pair for pair in tight)
+    wide = buchberger(gens, degree_cap=400)
+    assert basis.elements == wide.elements
+    assert basis.counts == wide.counts
+    assert basis.counts["pairs_popped"] > 0
+    assert basis.counts["max_degree"] == 300
+    # the same pairs, and no more, are popped without x3^300
+    without = buchberger(gens[1:], degree_cap=40)
+    counted = ("pairs_popped", "reductions", "zero_reductions")
+    assert [basis.counts[c] for c in counted] == [without.counts[c] for c in counted]
+    assert basis.counts["peak_live"] == without.counts["peak_live"] + 1
+    assert gens[0] in basis.elements
     assert is_groebner_basis(basis)
     for b in gens:
         assert reduce_binomial(b, basis.elements) is None
 
 
+def test_terms_that_outgrow_the_fields_widen_them(monkeypatch):
+    # fields sized by the cap 3 hold exponents up to 3, but the trail x2^3
+    # is rewritten through x2*x3^6 to x3^9: the run must start again on
+    # wider fields, and the basis is the one unbounded exponents give
+    u = VariableUniverse(("x1", "x2", "x3"))
+    gens = [Binomial(_mk("x1", u), _mk("x2^3", u)), Binomial(_mk("x2", u), _mk("x3^3", u))]
+    tops = []
+
+    class Recording(Packing):
+        def __init__(self, n, top):
+            tops.append(top)
+            super().__init__(n, top)
+
+    monkeypatch.setattr(binomial_gb, "_Packing", Recording)
+    basis = buchberger(gens, degree_cap=3)
+    assert basis.dump() == "x2 - x3^3\nx1 - x3^9"
+    assert tops[0] == 3 and len(tops) > 1
+    assert Packing(3, 3).modulus >> 1 < 9 <= Packing(3, tops[-1]).modulus >> 1
+    tops.clear()
+    assert reduce_binomial(gens[0], gens[1:]) == Binomial(_mk("x1", u), _mk("x3^9", u))
+    assert tops[0] == 3 and len(tops) > 1
+    assert is_groebner_basis(basis)
+
+
 def test_lead_index_finds_the_first_live_divisor():
-    # the bitset lookup must pick exactly the rule a scan over the live
-    # rules in insertion order picks first, past 64 variables too
+    # the bitset lookup must pick exactly the lead a scan over the live
+    # leads in insertion order picks first, past 64 variables too
     from operator import le
 
     rng = random.Random(909)
@@ -500,30 +522,28 @@ def test_lead_index_finds_the_first_live_divisor():
     found = missed = 0
     for _ in range(40):
         width = rng.randint(65, 130)
-        rules = []
-        for _ in range(rng.randint(1, 60)):
-            lead = sparse(width, rng.randint(1, 4), 2)
-            rules.append((lead, sparse(width, 2, 3)))
-        index = binomial_gb._LeadIndex(width, rules)
-        alive = set(range(len(rules)))
-        for g in rng.sample(range(len(rules)), rng.randint(0, len(rules) // 2)):
+        # no packed monomial below has degree above 18
+        packing = Packing(width, 18)
+        leads = [sparse(width, rng.randint(1, 4), 2) for _ in range(rng.randint(1, 60))]
+        index = LeadIndex(packing, map(packing.pack, leads))
+        assert index.leads == [packing.pack(lead) for lead in leads]
+        alive = set(range(len(leads)))
+        for g in rng.sample(range(len(leads)), rng.randint(0, len(leads) // 2)):
             index.alive &= ~(1 << g)
             alive.discard(g)
         if rng.random() < 0.5:
-            m = rules[rng.randrange(len(rules))][0]
-            index.retire(m)
-            alive -= {g for g in alive if all(map(le, m, rules[g][0]))}
+            m = leads[rng.randrange(len(leads))]
+            index.retire(packing.pack(m))
+            alive -= {g for g in alive if all(map(le, m, leads[g]))}
         assert index.alive == sum(1 << g for g in alive)
         for _ in range(30):
             if rng.random() < 0.5:
-                base = rules[rng.randrange(len(rules))][0]
+                base = leads[rng.randrange(len(leads))]
                 m = tuple(a + b for a, b in zip(base, sparse(width, 3, 2)))
             else:
                 m = sparse(width, rng.randint(0, 6), 3)
-            want = next(
-                (rules[g] for g in sorted(alive) if all(map(le, rules[g][0], m))), None
-            )
-            assert index.first_divisor(m) is want
+            want = next((g for g in sorted(alive) if all(map(le, leads[g], m))), None)
+            assert index.first_divisor(packing.pack(m)) == want
             if want is None:
                 missed += 1
             else:
@@ -531,7 +551,7 @@ def test_lead_index_finds_the_first_live_divisor():
     assert found > 100 and missed > 100
 
 
-# (S-pairs, reductions, zero reductions) of toric_kernel on cover ideals;
+# (pairs popped, reductions, zero reductions) of toric_kernel on cover ideals;
 # any drift in the pair selection order or the criteria moves them.
 PAIR_SEQUENCE_COUNTS = {
     "path:7": (34, 34, 19),
@@ -542,25 +562,8 @@ PAIR_SEQUENCE_COUNTS = {
 }
 
 
-def test_pair_sequence_is_pinned(monkeypatch):
-    counts = {}
-    real_s_pair = binomial_gb.s_pair
-    real_reduce = binomial_gb.reduce_binomial
-
-    def counting_s_pair(f, g):
-        counts["s_pairs"] += 1
-        return real_s_pair(f, g)
-
-    def counting_reduce(b, elements, **kwargs):
-        counts["reductions"] += 1
-        nf = real_reduce(b, elements, **kwargs)
-        if nf is None:
-            counts["zero"] += 1
-        return nf
-
-    monkeypatch.setattr(binomial_gb, "s_pair", counting_s_pair)
-    monkeypatch.setattr(binomial_gb, "reduce_binomial", counting_reduce)
+def test_pair_sequence_is_pinned():
+    counted = ("pairs_popped", "reductions", "zero_reductions")
     for text, want in PAIR_SEQUENCE_COUNTS.items():
-        counts.update(s_pairs=0, reductions=0, zero=0)
-        toric_kernel(cover_ideal(parse_construction(text)).gens)
-        assert (counts["s_pairs"], counts["reductions"], counts["zero"]) == want, text
+        counts = toric_kernel(cover_ideal(parse_construction(text)).gens).counts
+        assert tuple(counts[c] for c in counted) == want, text

@@ -87,12 +87,24 @@ def test_rees_json_report(tmp_path, capsys):
         "offenders",
         "in_J_generators",
         "basis_size",
+        "kernel_counts",
     }
     assert doc["x_condition"] is True
     assert doc["quadratic"] is True
     assert doc["offenders"] == []
     assert doc["in_J_generators"] == ["x2*y1"]
     assert doc["basis_size"] == 1
+    # the Rees kernel's run: y1 - x1*x3*t and y2 - x2*t form one pair, which
+    # gives x2*y1 - x1*x3*y2; its pair with y2 - x2*t has the S-binomial
+    # x1*x3*y2*t - y1*y2, whose terms share y2, so it is dropped when formed
+    assert doc["kernel_counts"] == {
+        "pairs_popped": 1,
+        "pairs_dropped_toric": 1,
+        "reductions": 1,
+        "zero_reductions": 0,
+        "peak_live": 3,
+        "max_degree": 3,
+    }
 
 
 def test_rees_flags_degenerate_graphs(capsys):
@@ -164,6 +176,7 @@ def test_analyze_json_reports_are_reproducible(tmp_path, capsys):
     assert doc1["prediction_failures"] == []
     assert [p["k"] for p in doc1["powers"]] == [1, 2]
     assert doc1["x_condition"]["basis_size"] == 2
+    assert doc1["kernel_counts"]["pairs_popped"] > 0
 
 
 def test_analyze_flags_prediction_failures(capsys, monkeypatch):
