@@ -9,10 +9,11 @@ element is its lead word and trail - lead, so an S-binomial term and a
 rewrite are one addition each, and divisors are looked up in the
 package's one divisor index, ``monomials._LeadIndex``, over packed leads;
 ``Binomial``s are built only where words enter and leave.  The toric
-kernel of x_i -> x_i, y_j -> u_j*t gives the elimination variable t the
-most significant field, so that order puts it above every other
-variable, and only the t-free elements of the reduced basis become
-binomials, over the universe without t: the reduced basis of the kernel.
+kernel of x_i -> x_i, y_j -> u_j*t eliminates t on words alone: t is
+their first, most significant field, so that order puts it above every
+other variable, and only the t-free elements of the reduced basis become
+binomials, over the base block and the y-block: the reduced basis of the
+kernel.  No universe has an elimination block.
 """
 
 from __future__ import annotations
@@ -396,13 +397,14 @@ def toric_kernel(gens: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) -> G
     graph ideal (y_j - u_j*t) on words laid out (t, y_1..y_q, x_1..x_n), so
     t lies above everything, by sugar in the grading w(t) = w(x_i) = 1,
     w(y_j) = deg u_j + 1, under which every generator is homogeneous, and
-    with ``toric``: the graph ideal is prime and holds no monomial.  Only
-    its t-free elements become binomials, over the universe without t.
+    with ``toric``: the graph ideal is prime and holds no monomial.  t is
+    a field of the words alone: only the t-free elements become binomials,
+    over the base block and the y-block.
     """
     if not gens:
         raise ValueError("toric_kernel needs at least one generator")
     base = gens[0].universe
-    if base.y_vars or base.elim_var is not None:
+    if base.y_vars:
         raise ValueError("the generators must live in a base-block-only universe")
     if any(u.universe != base for u in gens):
         raise ValueError("generators live in different universes")
@@ -415,7 +417,7 @@ def toric_kernel(gens: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) -> G
         for j, u in enumerate(gens, start=1)
     ]
     weights = (1,) + tuple(u.total_degree + 1 for u in gens) + (1,) * n
-    VariableUniverse(base.s_vars, y_vars, "t")  # the words' layout; rejects a label collision
+    VariableUniverse(base.s_vars, ("t",) + y_vars)  # the words' layout; rejects a label collision
     packing, basis, counts = _complete(rules, weights, degree_cap, True)
     u, t_free = VariableUniverse(base.s_vars, y_vars), 1 << packing.shifts[0]
     # field 0 is 0 on every kept term, so the leads stay ascending without it

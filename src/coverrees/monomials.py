@@ -1,16 +1,16 @@
 """Exact monomial arithmetic over a blocked variable universe.
 
-A universe declares up to three disjoint, internally ordered variable
-blocks: the polynomial-ring block (graph vertices; sequence order is the
-lex priority, highest first), an adjoined block ``y1 > y2 > ...`` used to
-present Rees algebras, and an optional elimination variable ``t``.  A
-monomial stores its exponents once, as a dense tuple laid out
-``(t, y1, ..., yq, s1, ..., sn)``; arithmetic is element-wise on it.
+A universe declares two disjoint, internally ordered variable blocks: the
+polynomial-ring block (graph vertices; sequence order is the lex
+priority, highest first) and an adjoined block: ``y1 > y2 > ...`` to
+present Rees algebras, or ``t``, the auxiliary variable of y_j -> u_j*t,
+for images in the base ring.  A monomial stores its exponents once, as a
+dense tuple laid out ``(y1, ..., yq, s1, ..., sn)``; arithmetic is
+element-wise on it.
 
-The one monomial order is lex on that tuple (``canonical_key``): ``t``
-decides first, then the y-block, then the base block.  On
-elimination-free monomials it is lex with the y-block above the base
-variables, and on the base block alone it is lex by vertex priority.
+The one monomial order is lex on that tuple (``canonical_key``): the
+adjoined block decides first, and within it the first name does, then
+the base block.  On the base block alone it is lex by vertex priority.
 """
 
 from __future__ import annotations
@@ -41,34 +41,25 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 class VariableUniverse:
     """Declared variable blocks; the sequence order is the priority.
 
-    ``y_block`` and ``s_block`` slice a monomial's exponent tuple, whose
-    slot 0 holds the elimination variable when there is one.
+    ``y_block`` and ``s_block`` slice a monomial's exponent tuple, the
+    adjoined block first.
     """
 
-    def __init__(
-        self,
-        s_vars: Sequence[str] = (),
-        y_vars: Sequence[str] = (),
-        elim_var: str | None = None,
-    ):
+    def __init__(self, s_vars: Sequence[str] = (), y_vars: Sequence[str] = ()):
         self.s_vars = tuple(s_vars)
         self.y_vars = tuple(y_vars)
-        self.elim_var = elim_var
-        t_vars = (elim_var,) if elim_var is not None else ()
         index: dict[str, int] = {}
-        for name in t_vars + self.y_vars + self.s_vars:
+        for name in self.y_vars + self.s_vars:
             if not _NAME_RE.match(name):
                 raise ValueError(f"bad variable name {name!r}")
             if name in index:
                 raise ValueError(f"duplicate variable {name!r}")
             index[name] = len(index)
         self._index = index
-        self.all_vars = self.s_vars + self.y_vars + t_vars
+        self.all_vars = self.s_vars + self.y_vars
         self._display = tuple((name, index[name]) for name in self.all_vars)
-        y_start = len(t_vars)
-        s_start = y_start + len(self.y_vars)
-        self.y_block = slice(y_start, s_start)
-        self.s_block = slice(s_start, None)
+        self.y_block = slice(0, len(self.y_vars))
+        self.s_block = slice(len(self.y_vars), None)
 
     def index_of(self, name: str) -> int:
         """Position of a variable in the exponent tuple."""
@@ -88,23 +79,19 @@ class VariableUniverse:
             isinstance(other, VariableUniverse)
             and self.s_vars == other.s_vars
             and self.y_vars == other.y_vars
-            and self.elim_var == other.elim_var
         )
 
     def __hash__(self) -> int:
-        return hash((self.s_vars, self.y_vars, self.elim_var))
+        return hash((self.s_vars, self.y_vars))
 
     def __repr__(self) -> str:
-        return (
-            f"VariableUniverse(s={list(self.s_vars)}, y={list(self.y_vars)}, "
-            f"elim={self.elim_var!r})"
-        )
+        return f"VariableUniverse(s={list(self.s_vars)}, y={list(self.y_vars)})"
 
 
 class Monomial:
     """Immutable dense exponent tuple over one universe.
 
-    ``exponents`` follows the universe layout ``(t, y..., s...)``; the
+    ``exponents`` follows the universe layout ``(y..., s...)``; the
     blockwise degrees and the ``exps`` name map are derived from it.
     """
 

@@ -200,12 +200,13 @@ def minimal_generation_check(standard: StandardMonomialSet, power: MonomialIdeal
 
 def pi_image(p: ReesPresentation, m: Monomial) -> Monomial:
     """Image of a presentation-ring monomial in the base ring with the
-    auxiliary variable: x_i -> x_i, y_j -> generator_j * t."""
+    auxiliary variable: x_i -> x_i, y_j -> generator_j * t.  t is the one
+    adjoined variable, so the exponents are laid out (t, x_1, ..., x_n)."""
     if m.universe != p.universe:
         raise ValueError("monomial outside the presentation ring")
-    with_t = VariableUniverse(p.ideal.universe.s_vars, (), "t")
+    image_ring = VariableUniverse(p.ideal.universe.s_vars, ("t",))
     image = (m.y_degree,) + _image(p, m.exponents)
-    return _monomial(with_t, image, sum(image))
+    return _monomial(image_ring, image, sum(image))
 
 
 def _image(p: ReesPresentation, exponents: tuple[int, ...]) -> tuple[int, ...]:

@@ -245,16 +245,20 @@ BETTI_MAX_GENERATORS, MAX_MULTIDEGREES = 18, 4096  # Betti-layer search, lcm lat
 
 def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
     """All lcms of nonempty generator subsets (closure under pairwise lcm);
-    more than ``MAX_MULTIDEGREES`` of them raise."""
+    more than ``MAX_MULTIDEGREES`` of them raise.
+
+    The closure runs on the generators' packed words, lcm(m, g) = m +
+    (g : m), one ``colons`` call per point.  No lcm exponent exceeds the
+    generators' largest exponent, so their packing holds every point."""
     if ideal.is_zero:
         return []
-    current = set(ideal.gens)
-    frontier = list(ideal.gens)
+    packing, words = _packed(ideal.gens)
+    current = set(words)
+    frontier = words
     while frontier:
         fresh = []
         for m in frontier:
-            for g in ideal.gens:
-                l = m.lcm(g)
+            for l in [m + q for q in packing.colons(words, m)]:
                 if l not in current:
                     current.add(l)
                     if len(current) > MAX_MULTIDEGREES:
@@ -263,7 +267,8 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
                         )
                     fresh.append(l)
         frontier = fresh
-    return sorted(current, key=lambda m: (m.total_degree, canonical_key(m)))
+    points = [_monomial(ideal.universe, e, sum(e)) for e in map(packing.unpack, current)]
+    return sorted(points, key=lambda m: (m.total_degree, canonical_key(m)))
 
 
 def upper_koszul_faces(ideal: MonomialIdeal, b: Monomial) -> dict[int, list[int]]:

@@ -267,12 +267,17 @@ def random_monomial(rng, universe, max_degree=6):
     return universe.monomial(exps)
 
 
-def random_universe(rng, max_s=5, max_y=3, with_t=False):
+def random_universe(rng, max_s=5, max_y=3):
     s_count = rng.randint(1, max_s)
     y_count = rng.randint(0, max_y)
     s_vars = tuple(f"x{i}" for i in range(1, s_count + 1))
     y_vars = tuple(f"y{j}" for j in range(1, y_count + 1))
-    return VariableUniverse(s_vars, y_vars, "t" if with_t else None)
+    return VariableUniverse(s_vars, y_vars)
+
+
+def t_headed(universe):
+    """The universe with t at the head of its adjoined block."""
+    return VariableUniverse(universe.s_vars, ("t",) + universe.y_vars)
 
 
 def random_graph(rng, max_vertices=9, edge_probability=0.45):

@@ -320,7 +320,7 @@ def test_criterion_8_engine_self_checks():
             VariableUniverse(("a", "b", "c")),
             VariableUniverse((), ("y1", "y2", "y3")),
             VariableUniverse(("a", "b"), ("y1", "y2")),
-            VariableUniverse(("a", "b"), ("y1", "y2"), "t"),
+            VariableUniverse(("a", "b"), ("t", "y1", "y2")),
         ]
         for uni in universes:
             for _ in range(10_000):

@@ -116,7 +116,7 @@ def test_buchberger_reorients_inputs():
 def test_kernel_of_two_vertex_graph():
     basis = toric_kernel(cover_ideal(standard_family("path", 2)).gens)
     assert basis.dump() == "x2*y1 - x1*y2"
-    assert basis.universe.elim_var is None
+    assert basis.universe.y_vars == ("y1", "y2")
 
 
 def test_kernel_of_three_path():
@@ -174,8 +174,8 @@ def test_kernel_of_squared_variable_map():
 def test_toric_kernel_validates_generators():
     with pytest.raises(ValueError, match="at least one generator"):
         toric_kernel([])
-    for blocks in [(("y1",), None), ((), "t"), (("y1",), "t")]:
-        extended = VariableUniverse(("x1",), *blocks)
+    for y_vars in [("y1",), ("t",), ("t", "y1")]:
+        extended = VariableUniverse(("x1",), y_vars)
         with pytest.raises(ValueError, match="base-block-only"):
             toric_kernel([_mk("x1", extended)])
     base = VariableUniverse(("x1", "x2"))
@@ -213,7 +213,7 @@ def test_kernel_elements_are_relations():
     for g in CORPUS:
         gens = cover_ideal(g).gens
         basis = toric_kernel(gens)
-        assert basis.universe.elim_var is None
+        assert basis.universe.y_vars == tuple(f"y{j}" for j in range(1, len(gens) + 1))
         for e in basis.elements:
             assert e.lead.y_degree == e.trail.y_degree
             assert _evaluate(e.lead, gens) == _evaluate(e.trail, gens)
@@ -271,9 +271,9 @@ def test_low_degree_relations_reduce_to_zero():
 
 
 def _rees_generators(gens):
-    """The generators y_j - u_j*t over the universe with t and the y-block."""
+    """The generators y_j - u_j*t over the universe with t heading the y-block."""
     base = gens[0].universe
-    full = VariableUniverse(base.s_vars, tuple(f"y{j}" for j in range(1, len(gens) + 1)), "t")
+    full = VariableUniverse(base.s_vars, ("t",) + tuple(f"y{j}" for j in range(1, len(gens) + 1)))
     t = variable(full, "t")
     return [
         oriented_binomial(full.monomial(u.exps) * t, variable(full, f"y{j}"))

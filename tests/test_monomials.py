@@ -30,6 +30,7 @@ from oracles import (
     divides_exponents,
     random_monomial,
     random_universe,
+    t_headed,
 )
 
 
@@ -40,10 +41,10 @@ def _block_names(u, block):
 
 
 def test_universe_blocks():
-    u = VariableUniverse(("x1", "x2"), ("y1",), "t")
-    assert u.all_vars == ("x1", "x2", "y1", "t")
+    u = VariableUniverse(("x1", "x2"), ("t", "y1"))
+    assert u.all_vars == ("x1", "x2", "t", "y1")
     assert _block_names(u, u.s_block) == {"x1", "x2"}
-    assert _block_names(u, u.y_block) == {"y1"}
+    assert _block_names(u, u.y_block) == {"t", "y1"}
     assert u.index_of("t") == 0
     with pytest.raises(KeyError):
         u.index_of("q")
@@ -55,17 +56,19 @@ def test_universe_validation():
     with pytest.raises(ValueError):
         VariableUniverse(("x1",), ("x1",))
     with pytest.raises(ValueError):
-        VariableUniverse(("x1",), (), "x1")
+        VariableUniverse(("t",), ("t", "y1"))
     with pytest.raises(ValueError):
         VariableUniverse(("2x",))
+    with pytest.raises(TypeError):  # two blocks at most
+        VariableUniverse(("x1",), ("y1",), "t")
 
 
 def test_universe_extension():
-    # the t slot comes first, so a t-free tuple without slot 0 is the same
-    # monomial in the universe without t
-    ext = VariableUniverse(("x1", "x2"), ("y1", "y2", "y3"), "t")
-    no_t = VariableUniverse(ext.s_vars, ext.y_vars)
-    assert no_t.elim_var is None and no_t != ext
+    # t heads the adjoined block, so a t-free tuple without slot 0 is the
+    # same monomial in the universe without t
+    ext = VariableUniverse(("x1", "x2"), ("t", "y1", "y2", "y3"))
+    no_t = VariableUniverse(ext.s_vars, ext.y_vars[1:])
+    assert no_t != ext
     assert no_t.y_vars == ("y1", "y2", "y3")
     assert no_t.s_vars == ("x1", "x2")
     m = ext.monomial({"x1": 1, "y2": 2})
@@ -101,11 +104,11 @@ def test_monomial_rejects_bad_exponents():
 
 
 def test_monomial_degrees_by_block():
-    u = VariableUniverse(("x1", "x2"), ("y1", "y2"), "t")
+    u = VariableUniverse(("x1", "x2"), ("t", "y1", "y2"))
     m = u.monomial({"x1": 1, "x2": 2, "y2": 3, "t": 1})
     assert m.s_degree == 3
-    assert m.y_degree == 3
-    assert m.exponents[u.index_of("t")] == 1
+    assert m.y_degree == 4  # t belongs to the adjoined block
+    assert m.exponents[u.index_of("t")] == m.exponents[0] == 1
     assert m.total_degree == 7
     assert m.exps["y2"] == 3 and "y1" not in m.exps
 
@@ -113,14 +116,15 @@ def test_monomial_degrees_by_block():
 def test_degree_caches_stay_consistent():
     rng = random.Random(515)
     for _ in range(300):
-        u = random_universe(rng, with_t=rng.random() < 0.5)
+        headed = rng.random() < 0.5
+        u = random_universe(rng)
+        u = t_headed(u) if headed else u
         m = random_monomial(rng, u)
         assert m.total_degree == sum(m.exps.values())
         for degree, block in ((m.s_degree, u.s_block), (m.y_degree, u.y_block)):
             names = _block_names(u, block)
             assert degree == sum(e for v, e in m.exps.items() if v in names)
-        t_degree = m.exps.get(u.elim_var, 0)
-        assert m.total_degree == m.s_degree + m.y_degree + t_degree
+        assert m.total_degree == m.s_degree + m.y_degree
 
 
 def test_monomials_format_and_parse():
@@ -141,9 +145,9 @@ def test_monomials_format_and_parse():
 
 
 def test_format_follows_universe_priority():
-    u = VariableUniverse(("b", "a"), ("y1",), "t")
+    u = VariableUniverse(("b", "a"), ("t", "y1"))
     m = u.monomial({"a": 1, "b": 1, "t": 2, "y1": 1})
-    assert str(m) == "b*a*y1*t^2"
+    assert str(m) == "b*a*t^2*y1"
 
 
 def test_cross_universe_operations_rejected():
@@ -158,8 +162,8 @@ def test_cross_universe_operations_rejected():
 
 
 def test_equal_universes_built_apart_interoperate():
-    u1 = VariableUniverse(("x1", "x2"), ("y1",), "t")
-    u2 = VariableUniverse(("x1", "x2"), ("y1",), "t")
+    u1 = VariableUniverse(("x1", "x2"), ("t", "y1"))
+    u2 = VariableUniverse(("x1", "x2"), ("t", "y1"))
     assert u1 is not u2
     a = u1.monomial({"x1": 2, "y1": 1})
     b = u2.monomial({"x1": 2, "y1": 1})
@@ -173,7 +177,7 @@ def test_equal_universes_built_apart_interoperate():
 
 
 def test_order_examples():
-    u = VariableUniverse(("x1", "x2", "x3"), ("y1", "y2"), "t")
+    u = VariableUniverse(("x1", "x2", "x3"), ("t", "y1", "y2"))
     x2y1 = u.monomial({"x2": 1, "y1": 1})
     x1x3y2 = u.monomial({"x1": 1, "x3": 1, "y2": 1})
     # the y block decides first, and y1 beats any power of y2
@@ -182,10 +186,10 @@ def test_order_examples():
 
     ty1 = u.monomial({"t": 1, "y1": 1})
     xy = u.monomial({"x1": 2, "y2": 3})
-    # any elimination degree beats everything without it
+    # the head of the adjoined block decides first
     assert compare_monomials(ty1, xy) == 1
     # without t, the comparison is the one of the universe without t
-    no_t = VariableUniverse(u.s_vars, u.y_vars)
+    no_t = VariableUniverse(u.s_vars, u.y_vars[1:])
     assert compare_monomials(x2y1, x1x3y2) == compare_monomials(
         no_t.monomial({"x2": 1, "y1": 1}), no_t.monomial({"x1": 1, "x3": 1, "y2": 1})
     )
@@ -201,19 +205,19 @@ def test_order_examples():
 
 def _axiom_universe(rng, shape):
     if shape == "base":
-        return random_universe(rng, max_y=0, with_t=False)
+        return random_universe(rng, max_y=0)
     if shape == "y":
         return VariableUniverse((), tuple(f"y{j}" for j in range(1, rng.randint(1, 4) + 1)))
     if shape == "base+y":
-        return random_universe(rng, with_t=False)
-    return random_universe(rng, with_t=True)
+        return random_universe(rng)
+    return t_headed(random_universe(rng))
 
 
 def test_order_axioms_sampled():
     # a quicker version of the big acceptance sweep: on every universe shape
     # the order is total, respects multiplication, and refines division
     rng = random.Random(90125)
-    for shape in ("base", "y", "base+y", "base+y+t"):
+    for shape in ("base", "y", "base+y", "base+t+y"):
         for _ in range(500):
             u = _axiom_universe(rng, shape)
             a = random_monomial(rng, u, max_degree=5)
@@ -233,7 +237,7 @@ def test_order_axioms_sampled():
 
 
 def test_canonical_key_orders_blockwise():
-    u = VariableUniverse(("x1", "x2"), ("y1",), "t")
+    u = VariableUniverse(("x1", "x2"), ("t", "y1"))
     t_mon = u.monomial({"t": 1})
     y_mon = u.monomial({"y1": 5})
     x_mon = u.monomial({"x1": 9})
@@ -302,7 +306,7 @@ def test_indexed_minimality_matches_brute_force():
     rng = random.Random(2718)
     wide = 0
     for trial in range(120):
-        u = random_universe(rng, max_s=6, max_y=3, with_t=True)
+        u = t_headed(random_universe(rng, max_s=6, max_y=3))
         if trial % 4:
             size = rng.choice([0, 1, 2, 5, 20, 40])
             gens = [random_monomial(rng, u, max_degree=5) for _ in range(size)]
@@ -310,7 +314,7 @@ def test_indexed_minimality_matches_brute_force():
             # over at least 7 variables, 100 draws of degree 4 keep a large
             # antichain, and draws of degree 5 find their divisors among it
             while len(u.all_vars) < 7:
-                u = random_universe(rng, max_s=6, max_y=3, with_t=True)
+                u = t_headed(random_universe(rng, max_s=6, max_y=3))
             xs = [variable(u, v) for v in u.all_vars]
             gens = [product(u, rng.choices(xs, k=4 + (i >= 100))) for i in range(140)]
         if gens and rng.random() < 0.3:

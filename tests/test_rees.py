@@ -38,7 +38,6 @@ def test_presentation_sorts_generators_descending():
     assert [str(g) for g in p.generators] == ["x1*x3", "x2"]
     assert p.universe.s_vars == ("x1", "x2", "x3")
     assert p.universe.y_vars == ("y1", "y2")
-    assert p.universe.elim_var is None
     assert not p.degenerate
     assert p.y_count == 2
 
@@ -260,6 +259,7 @@ def test_pi_image():
     y1 = variable(p.universe, "y1")
     img = pi_image(p, y1)
     assert str(img) == "x1*x3*t"
+    assert img.exponents == (1, 1, 0, 1)  # t in slot 0, then x1*x3
     mixed = p.universe.monomial({"x2": 1, "y1": 2})
     assert str(pi_image(p, mixed)) == "x1^2*x2*x3^2*t^2"
     assert pi_image(p, p.universe.one()).is_one
@@ -310,11 +310,11 @@ def _repeated_generators(p, m):
 def _generator_product(p, m):
     """m's image formed factor by factor: the x-part, the repeated
     generators, and t to the y-degree."""
-    with_t = VariableUniverse(p.universe.s_vars, (), "t")
-    x_part = {v: e for v, e in m.exps.items() if v in with_t.s_vars}
-    factors = [with_t.monomial(x_part), with_t.monomial({"t": m.y_degree})]
-    factors += [with_t.monomial(u.exps) for u in _repeated_generators(p, m)]
-    return product(with_t, factors)
+    image_ring = VariableUniverse(p.universe.s_vars, ("t",))
+    x_part = {v: e for v, e in m.exps.items() if v in image_ring.s_vars}
+    factors = [image_ring.monomial(x_part), image_ring.monomial({"t": m.y_degree})]
+    factors += [image_ring.monomial(u.exps) for u in _repeated_generators(p, m)]
+    return product(image_ring, factors)
 
 
 def _assert_same(got, want):
