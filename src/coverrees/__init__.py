@@ -41,7 +41,6 @@ from .binomial_gb import (
     Binomial,
     GroebnerBasis,
     buchberger,
-    is_groebner_basis,
     oriented_binomial,
     reduce_binomial,
     s_pair,

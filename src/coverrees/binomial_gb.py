@@ -19,7 +19,7 @@ kernel.  No universe has an elimination block.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations, compress
+from itertools import compress
 from operator import eq, mul
 from typing import Iterable, Sequence
 
@@ -43,7 +43,6 @@ __all__ = [
     "s_pair",
     "buchberger",
     "toric_kernel",
-    "is_groebner_basis",
 ]
 
 
@@ -424,8 +423,3 @@ def toric_kernel(gens: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) -> G
     kept = (Binomial(_term(u, packing, a), _term(u, packing, b)) for a, b in basis if a < t_free)
     return GroebnerBasis(u, tuple(kept), counts)
 
-
-def is_groebner_basis(basis: GroebnerBasis) -> bool:
-    """Buchberger's criterion: every S-pair reduces to zero."""
-    pairs = (s_pair(f, g) for f, g in combinations(basis.elements, 2))
-    return all(reduce_binomial(s, basis.elements) is None for s in pairs if s is not None)

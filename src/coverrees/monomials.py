@@ -11,6 +11,9 @@ element-wise on it.
 The one monomial order is lex on that tuple (``canonical_key``): the
 adjoined block decides first, and within it the first name does, then
 the base block.  On the base block alone it is lex by vertex priority.
+
+``_Record`` is the base of the package's result records; it lives here
+because every module that defines one imports from this one.
 """
 
 from __future__ import annotations
@@ -36,6 +39,40 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+
+
+class _Record:
+    """A result record: its fields are its ``__slots__``, filled by position
+    or by keyword in slot order; ``_DEFAULTS`` fills the fields left out.
+    Compared by identity, with no guard against assignment."""
+
+    __slots__ = ()
+    _DEFAULTS: dict = {}
+
+    def __init__(self, *values, **named):
+        fields, kind = self.__slots__, type(self).__name__
+        if len(values) > len(fields):
+            raise TypeError(f"{kind} takes at most {len(fields)} fields")
+        given = dict(zip(fields, values))
+        wrong = given.keys() & named | named.keys() - set(fields)
+        if wrong:
+            raise TypeError(f"{kind} got repeated or unknown fields {sorted(wrong)}")
+        given = {**self._DEFAULTS, **given, **named}
+        if len(given) < len(fields):
+            raise TypeError(f"{kind} misses the fields {[f for f in fields if f not in given]}")
+        for field in fields:
+            setattr(self, field, given[field])
+
+
+class _Value(_Record):
+    """A record equal to one of the same type whose fields all are; so unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
 
 
 class VariableUniverse:

@@ -14,13 +14,15 @@ y-block.
 
 from __future__ import annotations
 
-from .binomial_gb import DEGREE_CAP, GroebnerBasis, toric_kernel
+from .binomial_gb import DEGREE_CAP, toric_kernel
 from .monomials import (
     Monomial,
     MonomialIdeal,
     VariableUniverse,
     _LeadIndex,
     _Packing,
+    _Record,
+    _Value,
     _monomial,
     canonical_key,
     monomials_of_degree,
@@ -38,8 +40,9 @@ __all__ = [
 ]
 
 
-class ReesPresentation:
-    """A monomial ideal together with the reduced basis of its Rees kernel.
+class ReesPresentation(_Record):
+    """A monomial ideal together with the reduced basis of its Rees kernel,
+    fields ``(ideal, generators, universe, basis, degenerate)``.
 
     ``generators[j-1]`` is the image monomial of ``y<j>``; ``universe`` is
     the presentation ring (base block plus y-block); ``degenerate`` flags
@@ -48,20 +51,6 @@ class ReesPresentation:
     """
 
     __slots__ = ("ideal", "generators", "universe", "basis", "degenerate")
-
-    def __init__(
-        self,
-        ideal: MonomialIdeal,
-        generators: tuple[Monomial, ...],
-        universe: VariableUniverse,
-        basis: GroebnerBasis,
-        degenerate: bool,
-    ):
-        self.ideal = ideal
-        self.generators = generators
-        self.universe = universe
-        self.basis = basis
-        self.degenerate = degenerate
 
     @property
     def y_count(self) -> int:
@@ -93,9 +82,11 @@ def rees_presentation(
     )
 
 
-class XConditionReport:
-    """Verdicts about the minimal generators of the initial ideal; equal
-    when every field is, unhashable, with no guard against assignment."""
+class XConditionReport(_Value):
+    """Verdicts about the minimal generators of the initial ideal, fields
+    ``(holds, offending_generators, quadratic, quadratic_offenders,
+    initial_generators)``; equal when every field is, unhashable, with no
+    guard against assignment."""
 
     __slots__ = (
         "holds",
@@ -104,25 +95,6 @@ class XConditionReport:
         "quadratic_offenders",
         "initial_generators",
     )
-
-    def __init__(
-        self,
-        holds: bool,
-        offending_generators: tuple[Monomial, ...],
-        quadratic: bool,
-        quadratic_offenders: tuple[Monomial, ...],
-        initial_generators: tuple[Monomial, ...],
-    ):
-        self.holds = holds
-        self.offending_generators = offending_generators
-        self.quadratic = quadratic
-        self.quadratic_offenders = quadratic_offenders
-        self.initial_generators = initial_generators
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, XConditionReport) and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
-        )
 
     def __repr__(self) -> str:
         return f"XConditionReport(holds={self.holds}, quadratic={self.quadratic})"
@@ -142,8 +114,9 @@ def x_condition(p: ReesPresentation) -> XConditionReport:
     )
 
 
-class StandardMonomialSet:
-    """Degree-k monomials in the y-block outside the initial ideal.
+class StandardMonomialSet(_Record):
+    """Degree-k monomials in the y-block outside the initial ideal, fields
+    ``(k, members, mapped_generators)``.
 
     ``members`` are sorted ascending (lex on the y-block) and
     ``mapped_generators[i]`` is the image of ``members[i]`` in the base
@@ -152,13 +125,6 @@ class StandardMonomialSet:
     """
 
     __slots__ = ("k", "members", "mapped_generators")
-
-    def __init__(
-        self, k: int, members: tuple[Monomial, ...], mapped_generators: tuple[Monomial, ...]
-    ):
-        self.k = k
-        self.members = members
-        self.mapped_generators = mapped_generators
 
     def __repr__(self) -> str:
         return f"StandardMonomialSet(k={self.k}, {len(self.members)} members)"

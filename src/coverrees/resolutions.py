@@ -28,6 +28,7 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     _Packing,
+    _Value,
     _monomial,
     canonical_key,
     component,  # unused; kept because bench/child.py traces resolutions.component
@@ -51,9 +52,10 @@ __all__ = [
 # Linear quotients
 
 
-class LinearQuotientsCertificate:
-    """An order of the generators with linear quotients: for each j the
-    colon ideal (u_1, ..., u_{j-1}) : u_j is generated by variables.
+class LinearQuotientsCertificate(_Value):
+    """An order of the generators with linear quotients, fields
+    ``(ordering, colon_variables, method)``: for each j the colon ideal
+    (u_1, ..., u_{j-1}) : u_j is generated by variables.
 
     The order is the certificate; ``check_linear_quotients`` re-checks it
     with O(n^2) colons.  ``colon_variables[j]`` is the bitmask, over the
@@ -64,24 +66,7 @@ class LinearQuotientsCertificate:
     """
 
     __slots__ = ("ordering", "colon_variables", "method")
-
-    def __init__(
-        self,
-        ordering: tuple[Monomial, ...],
-        colon_variables: tuple[int, ...],
-        method: str | None = None,
-    ):
-        self.ordering = ordering
-        self.colon_variables = colon_variables
-        self.method = method
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LinearQuotientsCertificate)
-            and self.ordering == other.ordering
-            and self.colon_variables == other.colon_variables
-            and self.method == other.method
-        )
+    _DEFAULTS = {"method": None}
 
     def __repr__(self) -> str:
         order = ", ".join(map(str, self.ordering))
@@ -271,18 +256,20 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
     return sorted(points, key=lambda m: (m.total_degree, canonical_key(m)))
 
 
-def upper_koszul_faces(ideal: MonomialIdeal, b: Monomial) -> dict[int, list[int]]:
+def upper_koszul_faces(packing: _Packing, words: list[int], b: int) -> dict[int, list[int]]:
     """Faces of the upper Koszul complex at multidegree b, by dimension, as
     bitmasks over the exponent positions.
 
-    A subset F of supp(b) is a face exactly when b / x_F lies in the ideal,
-    that is when F lies in supp(b : g) for a generator g dividing b.  The
-    empty face sits in dimension -1.
+    ``words`` are the ideal's generators packed by ``packing`` and b is a
+    word of it: no lcm exponent exceeds the generators' largest exponent,
+    so the generators' packing holds every lcm-lattice point.  A subset F
+    of supp(b) is a face exactly when b / x_F lies in the ideal, that is
+    when F lies in supp(b : g) for a generator g dividing b.  The empty
+    face sits in dimension -1.
     """
-    packing, (*words, word) = _packed(ideal.gens + (b,))
-    divisors = [w for w, q in zip(words, packing.colons(words, word)) if not q]
+    divisors = [w for w, q in zip(words, packing.colons(words, b)) if not q]
     found = {0} if divisors else set()
-    for free in {packing.positions(word - w) for w in divisors}:  # b : g = b - g
+    for free in {packing.positions(b - w) for w in divisors}:  # b : g = b - g
         face = free
         while face:
             found.add(face)
@@ -431,8 +418,9 @@ def _koszul_betti_table(ideal: MonomialIdeal) -> BettiTable:
     raises rather than degrade.
     """
     multigraded: dict[tuple[int, Monomial], int] = {}
+    packing, words = _packed(ideal.gens)
     for b in lcm_lattice(ideal):
-        faces = upper_koszul_faces(ideal, b)
+        faces = upper_koszul_faces(packing, words, packing.pack(b.exponents))
         if -1 not in faces:
             raise AssertionError("lattice multidegree must lie in the ideal")
         for d, h in _reduced_homology_ranks(faces).items():
@@ -450,8 +438,9 @@ def has_linear_resolution(
     return is_componentwise_linear(ideal, max_generators).linear_resolution
 
 
-class ComponentwiseReport:
-    """Per-degree linearity of components over the generator-degree range.
+class ComponentwiseReport(_Value):
+    """Per-degree linearity of components over the generator-degree range,
+    fields ``(componentwise_linear, by_degree)``.
 
     Only degrees between the minimal and maximal generator degree are
     tested, and ``by_degree`` holds exactly those (none for the zero
@@ -464,17 +453,6 @@ class ComponentwiseReport:
     """
 
     __slots__ = ("componentwise_linear", "by_degree")
-
-    def __init__(self, componentwise_linear: bool, by_degree: dict[int, bool]):
-        self.componentwise_linear = componentwise_linear
-        self.by_degree = by_degree
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ComponentwiseReport)
-            and self.componentwise_linear == other.componentwise_linear
-            and self.by_degree == other.by_degree
-        )
 
     def __repr__(self) -> str:
         return f"ComponentwiseReport({self.componentwise_linear}, {self.by_degree})"

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
+from operator import le
 
 from coverrees import Monomial, VariableUniverse, betti_table, canonical_key, component
 
@@ -153,6 +154,47 @@ def split_fibers(x_vars, images, rules, max_degree=2):
         for members in fibers.values()
         if len({_rewrite_to_normal_form(m, rules) for m in members}) > 1
     ]
+
+
+def s_binomial(f, g):
+    """The S-binomial of two (lead, trail) pairs of exponent tuples, as its
+    two terms, larger first; None when they agree.  Lex is tuple order."""
+    (a, b), (c, d) = f, g
+    lcm = tuple(map(max, a, c))
+    u = tuple(m - x + y for m, x, y in zip(lcm, a, b))
+    v = tuple(m - x + y for m, x, y in zip(lcm, c, d))
+    return None if u == v else (max(u, v), min(u, v))
+
+
+def reduces_to_zero(terms, rules):
+    """Whether the binomial with these two exponent tuples as terms reduces
+    to zero by the (lead, trail) rules.  The larger term is rewritten by the
+    first rule whose lead divides it and the terms are reoriented; the
+    reduction stops at equal terms, or at a larger term no lead divides,
+    which no reduction can remove.  Each rule must lead its larger term, so
+    the larger term falls at every step and the loop ends."""
+    p, q = max(terms), min(terms)
+    while p != q:
+        rule = next((r for r in rules if all(map(le, r[0], p))), None)
+        if rule is None:
+            return False
+        p = tuple(x - a + b for x, a, b in zip(p, *rule))
+        p, q = max(p, q), min(p, q)
+    return True
+
+
+def groebner_criterion(rules):
+    """Buchberger's criterion on (lead, trail) pairs of exponent tuples: each
+    lead is its larger term and every S-binomial reduces to zero."""
+    if any(lead <= trail for lead, trail in rules):
+        return False
+    pairs = (s_binomial(f, g) for f, g in combinations(rules, 2))
+    return all(reduces_to_zero(s, rules) for s in pairs if s is not None)
+
+
+def exponent_rules(binomials):
+    """(lead, trail) exponent tuples of the binomials, for the oracles above."""
+    return [(b.lead.exponents, b.trail.exponents) for b in binomials]
 
 
 def order_admits_linear_quotients(exponent_dicts):

@@ -13,7 +13,6 @@ from coverrees import (
     cameron_walker,
     canonical_key,
     cover_ideal,
-    is_groebner_basis,
     minimal_generation_check,
     parse_monomial,
     power,
@@ -25,8 +24,8 @@ from coverrees import (
     parse_construction,
     x_condition,
 )
-from coverrees.rees import XConditionReport, pi_image
-from oracles import contains, split_fibers
+from coverrees.rees import ReesPresentation, StandardMonomialSet, XConditionReport, pi_image
+from oracles import contains, exponent_rules, groebner_criterion, split_fibers
 
 
 def _present(graph, **kwargs):
@@ -152,7 +151,7 @@ def test_x_condition_on_three_triangle_friendship_graph():
     p = _present(standard_family("friendship", 3))
     assert p.y_count == 9
     assert len(p.basis.elements) == 22
-    assert is_groebner_basis(p.basis)
+    assert groebner_criterion(exponent_rules(p.basis.elements))
     rep = x_condition(p)
     assert rep.holds and rep.quadratic
     assert len(rep.initial_generators) == 22
@@ -388,3 +387,20 @@ def test_x_condition_report_equality():
     assert first != XConditionReport(False, *fields[1:])
     assert first != x_condition(_present(standard_family("cycle", 5)))
     assert repr(first) == "XConditionReport(holds=True, quadratic=True)"
+    with pytest.raises(TypeError):
+        XConditionReport(*fields[:4])
+    with pytest.raises(TypeError):
+        XConditionReport(*fields, holds=True)
+
+
+def test_presentation_records_compare_by_identity():
+    p = _present(standard_family("path", 3))
+    copy = ReesPresentation(p.ideal, p.generators, p.universe, p.basis, p.degenerate)
+    assert copy.basis is p.basis and copy.y_count == p.y_count == 2
+    assert p == p and copy != p and len({p, copy}) == 2
+    s = standard_monomials(p, 2)
+    again = StandardMonomialSet(k=2, members=s.members, mapped_generators=s.mapped_generators)
+    assert again.members is s.members
+    assert s == s and again != s and len({s, again}) == 2
+    with pytest.raises(TypeError):
+        StandardMonomialSet(2, s.members, s.mapped_generators, k=2)

@@ -39,6 +39,7 @@ from oracles import (
 )
 
 from coverrees import resolutions
+from coverrees.monomials import _Value
 from coverrees.resolutions import (
     _rank,
     _reduced_homology_ranks,
@@ -464,9 +465,15 @@ def _koszul_lattice_points():
     return points
 
 
+def _faces(ideal, b):
+    """``upper_koszul_faces`` at the monomial b, on the generators' packing."""
+    packing, words = resolutions._packed(ideal.gens)
+    return upper_koszul_faces(packing, words, packing.pack(b.exponents))
+
+
 def test_upper_koszul_faces_match_brute_force():
     for ideal, b in _koszul_lattice_points():
-        faces = upper_koszul_faces(ideal, b)
+        faces = _faces(ideal, b)
         assert set().union(*faces.values()) == _position_faces(ideal, b), (ideal, b)
         for d, masks in faces.items():
             assert masks == sorted(masks), (ideal, b)
@@ -493,7 +500,7 @@ def _dense_homology_ranks(faces):
 
 def test_reduced_homology_matches_dense_boundaries():
     for ideal, b in _koszul_lattice_points():
-        faces = upper_koszul_faces(ideal, b)
+        faces = _faces(ideal, b)
         assert _reduced_homology_ranks(faces) == _dense_homology_ranks(faces), (ideal, b)
 
     # hand-computed complexes over the vertices 1, 2, 4 (bits 0, 1, 2)
@@ -511,7 +518,7 @@ def test_upper_koszul_faces_worked_example():
     assert [U3.index_of(v) for v in ("x1", "x2", "x3")] == [0, 1, 2]
     p3 = _ideal(U3, "x2", "x1*x3")
     b = parse_monomial("x1*x2*x3", U3)
-    faces = upper_koszul_faces(p3, b)
+    faces = _faces(p3, b)
     assert faces[-1] == [0]
     assert faces[0] == [0b001, 0b010, 0b100]
     assert faces[1] == [0b101]
@@ -519,7 +526,7 @@ def test_upper_koszul_faces_worked_example():
 
     # a multidegree outside the ideal has no faces at all
     outside = parse_monomial("x1", U3)
-    assert upper_koszul_faces(p3, outside) == {}
+    assert _faces(p3, outside) == {}
 
 
 def test_betti_tables_of_small_ideals():
@@ -873,3 +880,26 @@ def test_certificate_and_report_equality():
     assert repr(report) == "ComponentwiseReport(True, {2: True})"
     with pytest.raises(TypeError):
         hash(report)
+    # a value never equals a record of another type with the same fields
+    twin_type = type("Twin", (_Value,), {"__slots__": ComponentwiseReport.__slots__})
+    twin = twin_type(True, {2: True})
+    assert report != twin and twin != report
+
+
+def test_records_fill_their_fields_in_slot_order():
+    order, colons = (parse_monomial("x1", U3),), (0,)
+    cert = LinearQuotientsCertificate(order, colons)
+    assert (cert.ordering, cert.colon_variables, cert.method) == (order, colons, None)
+    named = LinearQuotientsCertificate(colon_variables=colons, method="search", ordering=order)
+    assert (named.ordering, named.colon_variables, named.method) == (order, colons, "search")
+    wrong_calls = [
+        ((order, colons, None, None), {}),  # too many positional values
+        ((order, colons), {"methods": None}),  # an unknown keyword
+        ((order,), {}),  # a missing field
+        ((order, colons), {"ordering": order}),  # a keyword repeating a position
+    ]
+    for values, keywords in wrong_calls:
+        with pytest.raises(TypeError):
+            LinearQuotientsCertificate(*values, **keywords)
+    with pytest.raises(TypeError):
+        ComponentwiseReport(True)  # no default for by_degree
