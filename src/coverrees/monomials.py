@@ -269,11 +269,6 @@ class _Packing:
         diffs = [(a | guards) - b for a in words]
         return [d & ((kept := d & guards) - (kept >> sh)) for d in diffs]
 
-    def has_divisor(self, words: Iterable[int], b: int) -> bool:
-        """Whether some word a divides b: (b | guards) - a keeps every guard."""
-        guards, kept = self.guards, b | self.guards
-        return any((kept - a) & guards == guards for a in words)
-
     def support(self, word: int) -> int:
         """The guard bits of the word's nonzero fields."""
         return ((word | self.guards) - self._ones) & self.guards

@@ -566,11 +566,11 @@ def test_lead_index_finds_the_first_live_divisor():
 # (pairs popped, reductions, zero reductions) of toric_kernel on cover ideals;
 # any drift in the pair selection order or the criteria moves them.
 PAIR_SEQUENCE_COUNTS = {
-    "path:7": (34, 34, 19),
+    "path:7": (37, 37, 22),
     "attach(edge;edge,edge)": (105, 105, 74),
     "cone(cycle:5)": (64, 64, 36),
-    "attach(path:3;edge,edge,edge)": (4030, 4030, 3680),
-    "cycle:7": (93, 93, 54),
+    "attach(path:3;edge,edge,edge)": (4031, 4031, 3681),
+    "cycle:7": (94, 94, 55),
 }
 
 

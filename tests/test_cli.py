@@ -96,9 +96,14 @@ def test_rees_json_report(tmp_path, capsys):
     assert doc["basis_size"] == 1
     # the Rees kernel's run: y1 - x1*x3*t and y2 - x2*t form one pair, which
     # gives x2*y1 - x1*x3*y2; its pair with y2 - x2*t has the S-binomial
-    # x1*x3*y2*t - y1*y2, whose terms share y2, so it is dropped when formed
+    # x1*x3*y2*t - y1*y2, whose terms share y2, so it is dropped when formed;
+    # its lcm x2*y1*t properly divides x1*x2*x3*y1*t, the lcm of its pair
+    # with y1 - x1*x3*t, which criterion M drops
     assert doc["kernel_counts"] == {
         "pairs_popped": 1,
+        "pairs_dropped_f": 0,
+        "pairs_dropped_m": 1,
+        "pairs_dropped_coprime": 0,
         "pairs_dropped_toric": 1,
         "reductions": 1,
         "zero_reductions": 0,

@@ -1,5 +1,6 @@
 """Rees presentations, the x-condition, and standard-monomial generation."""
 
+import random
 import time
 
 import pytest
@@ -25,7 +26,7 @@ from coverrees import (
     x_condition,
 )
 from coverrees.rees import ReesPresentation, StandardMonomialSet, XConditionReport, pi_image
-from oracles import contains, exponent_rules, groebner_criterion, split_fibers
+from oracles import contains, exponent_rules, groebner_criterion, random_graph, split_fibers
 
 
 def _present(graph, **kwargs):
@@ -285,6 +286,22 @@ def test_standard_images_lie_in_the_power():
             kth = power(p.ideal, k)
             for m in sm.mapped_generators:
                 assert contains(kth, m)
+
+
+def test_random_kernel_bases_verify():
+    # the pair update only skips pairs; whatever it skips, each basis must
+    # still be a reduced Groebner basis of relations
+    rng = random.Random(2817)
+    for _ in range(200):
+        p = _present(random_graph(rng, max_vertices=8))
+        elems = p.basis.elements
+        assert groebner_criterion(exponent_rules(elems))
+        for e in elems:
+            assert pi_image(p, e.lead) == pi_image(p, e.trail)
+            for f in elems:
+                if e is not f:
+                    assert not f.lead.divides(e.lead)
+                assert not f.lead.divides(e.trail)
 
 
 IMAGE_CORPUS = [
