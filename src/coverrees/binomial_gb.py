@@ -197,18 +197,18 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal the generators span.
 
-    Pair selection is by sugar (Giovini, Mora, Niesi, Robbiano and
-    Traverso, "One sugar cube, please", 1991) in the grading ``weights``,
-    one positive weight per variable in exponent-tuple layout (default:
-    all 1).  A generator's sugar is the larger weighted degree of its two
-    terms; the S-pair of f and g with lead lcm l has sugar
-    max(sug f + w(l) - w(lead f), sug g + w(l) - w(lead g)); a new element
-    keeps its pair's sugar, raised to its own weighted degree if that is
-    larger.  Pairs wait in a heap of ints, each (sugar, lcm, i, j) packed
-    to order like that tuple: the packed lcm, then 32 bits for each of
-    i < j.  On input homogeneous in the grading the sugar is the weighted
-    degree of the lcm; on any other input it is still a valid selection
-    order.
+    Pairs are taken by the weighted degree of their lcm, w(lcm(f, g)) =
+    w(lead f) + w(lead g) - w(gcd), in the grading ``weights``, one
+    positive weight per variable in exponent-tuple layout (default: all
+    1).  Pairs wait in a heap of ints, each (w(lcm), lcm, i, j) packed to
+    order like that tuple: the packed lcm, then 32 bits for each of i < j.
+    On input homogeneous in the grading this is the selection degree of
+    Giovini, Mora, Niesi, Robbiano and Traverso (ISSAC 1991), by induction
+    over insertions: an S-binomial and its reductions stay homogeneous of
+    its pair's w(lcm), so every element has weighted degree w(lead).  On
+    other input, which only tests send and ``toric`` refuses, it is still a
+    valid order: the algorithm and the pair criteria of the next paragraph
+    hold whatever order the pairs are taken in.
 
     Each inserted element h keeps one new pair (g, h) per lcm, for the
     first g reaching it (criterion F of Gebauer-Moeller, "On an
@@ -298,20 +298,19 @@ def _run(packing: _Packing, rules: list, weights: Sequence[int], degree_cap: int
     lcm_bits = n * modulus.bit_length()
     index = _LeadIndex(packing)
     leads = index.leads  # lead word of element g
-    # of element g: trail - lead, sugar, w(lead g), support of trail g (toric)
-    deltas, sugar, wdeg, trails = [], [], [], []
+    # of element g: trail - lead, w(lead g), support of trail g (toric)
+    deltas, wdeg, trails = [], [], []
     live: list[int] = []  # the elements index.alive holds, ascending
-    pairs: list[int] = []  # (sugar << lcm_bits | lcm) << 64 | i << 32 | j
+    pairs: list[int] = []  # (w(lcm) << lcm_bits | lcm) << 64 | i << 32 | j
     dropped = "pairs_dropped_f pairs_dropped_m pairs_dropped_coprime pairs_dropped_toric"
     names = f"pairs_popped {dropped} reductions zero_reductions peak_live max_degree"
     counts = dict.fromkeys(names.split(), 0)
 
-    def insert(lead: int, trail: int, sug: int) -> int:
+    def insert(lead: int, trail: int) -> int:
         """Insert lead - trail with its pairs; returns its total degree."""
         new = len(leads)
         lead_e, trail_e = unpack(lead), unpack(trail)
         w_lead = sum(map(mul, weights, lead_e))
-        sug = max(sug, w_lead, sum(map(mul, weights, trail_e)))
         on = [(weights[v], shifts[v]) for v in compress(range(n), lead_e)]
         trail_support = support(trail) if toric else 0
         # criterion F: one pair per lcm, keyed by its quotient by lead h, the
@@ -319,8 +318,8 @@ def _run(packing: _Packing, rules: list, weights: Sequence[int], degree_cap: int
         quotients = colons(map(leads.__getitem__, live), lead)
         first = dict(zip(reversed(quotients), reversed(live)))
         counts["pairs_dropped_f"] += len(live) - len(first)
-        # criterion M against the one-variable quotients as their whole fields
-        units = sum(q for q in first if q % modulus == 1) * modulus
+        # criterion M against the one-variable quotients
+        units = packing.units(first)
         for q, g in first.items():
             if q % modulus != 1 and q & units:
                 counts["pairs_dropped_m"] += 1
@@ -336,13 +335,12 @@ def _run(packing: _Packing, rules: list, weights: Sequence[int], degree_cap: int
             # w(lcm) = w(lead h) + w(lead g) - w(gcd), gcd = lead g - q on supp(lead h)
             gcd = leads[g] - q
             w_gcd = sum([w * (gcd >> s & modulus) for w, s in on])
-            s = max(sugar[g] + w_lead, sug + wdeg[g]) - w_gcd
-            heapq.heappush(pairs, (s << lcm_bits | lcm) << 64 | g << 32 | new)
+            w_lcm = wdeg[g] + w_lead - w_gcd
+            heapq.heappush(pairs, (w_lcm << lcm_bits | lcm) << 64 | g << 32 | new)
         alive = index.alive | 1 << new
         index.retire(lead)
         index.add(lead)
         deltas.append(trail - lead)
-        sugar.append(sug)
         wdeg.append(w_lead)
         trails.append(trail_support)
         if index.alive != alive:  # some lead retired
@@ -354,7 +352,7 @@ def _run(packing: _Packing, rules: list, weights: Sequence[int], degree_cap: int
         return degree
 
     for lead, trail in rules:
-        insert(packing.pack(lead), packing.pack(trail), 0)
+        insert(packing.pack(lead), packing.pack(trail))
     lcm_mask = (1 << lcm_bits) - 1
     while pairs:
         key = heapq.heappop(pairs)
@@ -369,7 +367,7 @@ def _run(packing: _Packing, rules: list, weights: Sequence[int], degree_cap: int
             return None
         if p == q:
             counts["zero_reductions"] += 1
-        elif insert(p, q, key >> 64 >> lcm_bits) > degree_cap:
+        elif insert(p, q) > degree_cap:
             raise DegreeCapExceeded(
                 f"element of degree > {degree_cap} produced; raise the cap to continue"
             )
@@ -392,11 +390,12 @@ def toric_kernel(gens: Sequence[Monomial], *, degree_cap: int = DEGREE_CAP) -> G
     The generators u_j are monomials of one universe holding only the base
     block.  The engine of ``buchberger`` computes the reduced basis of the
     graph ideal (y_j - u_j*t) on words laid out (t, y_1..y_q, x_1..x_n), so
-    t lies above everything, by sugar in the grading w(t) = w(x_i) = 1,
-    w(y_j) = deg u_j + 1, under which every generator is homogeneous, and
-    with ``toric``: the graph ideal is prime and holds no monomial.  t is
-    a field of the words alone: only the t-free elements become binomials,
-    over the base block and the y-block.
+    t lies above everything, taking pairs by the weighted degree of their
+    lcm in the grading w(t) = w(x_i) = 1, w(y_j) = deg u_j + 1, under which
+    every generator is homogeneous, and with ``toric``: the graph ideal is
+    prime and holds no monomial.  t is a field of the words alone: only
+    the t-free elements become binomials, over the base block and the
+    y-block.
     """
     if not gens:
         raise ValueError("toric_kernel needs at least one generator")

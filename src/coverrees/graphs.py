@@ -12,6 +12,7 @@ cones put the new universal vertex last.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -228,14 +229,11 @@ class Poset:
             if a not in known or b not in known:
                 raise ValueError(f"relation ({a!r}, {b!r}) uses an unknown element")
             leq.add((a, b))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(leq):
-                for c, d in list(leq):
-                    if b == c and (a, d) not in leq:
-                        leq.add((a, d))
-                        changed = True
+        # Warshall: after the pass over k, paths through k are closed
+        for k in self.elements:
+            for a in self.elements:
+                if (a, k) in leq:
+                    leq.update((a, b) for b in self.elements if (k, b) in leq)
         for a, b in leq:
             if a != b and (b, a) in leq:
                 raise ValueError(f"relation is not a partial order: {a!r} and {b!r} compare both ways")
@@ -343,35 +341,20 @@ def is_unmixed(g: Graph) -> bool:
     return len(sizes) <= 1
 
 
-def _lex_bfs_order(g: Graph) -> list[str]:
-    labels = list(g.labels)
-    pos = {v: i for i, v in enumerate(labels)}
-    weight: dict[str, list[int]] = {v: [] for v in labels}
-    remaining = set(labels)
-    order: list[str] = []
-    n = len(labels)
-    while remaining:
-        v = max(remaining, key=lambda u: (weight[u], -pos[u]))
-        remaining.discard(v)
-        order.append(v)
-        stamp = n - len(order)
-        for w in g.neighbors(v):
-            if w in remaining:
-                weight[w].append(stamp)
-    return order
-
-
 def is_chordal(g: Graph) -> bool:
-    """Chordality via lexicographic BFS: the reverse of a LexBFS order is
-    a perfect elimination order exactly for chordal graphs."""
-    order = _lex_bfs_order(g)
-    visit = {v: i for i, v in enumerate(order)}
-    for v in order:
-        earlier = [w for w in g.neighbors(v) if visit[w] < visit[v]]
-        for i, a in enumerate(earlier):
-            for b in earlier[i + 1 :]:
-                if not g.has_edge(a, b):
-                    return False
+    """Chordality by simplicial elimination (Dirac, 1961): every chordal
+    graph, and so each induced subgraph of one, has a vertex whose
+    neighbours form a clique, and no vertex of an induced cycle of length
+    >= 4 ever has them; so the graph is chordal exactly when removing such
+    vertices one at a time empties it."""
+    live = set(g.labels)
+    while live:
+        for v in live:
+            if all(g.has_edge(a, b) for a, b in combinations(g.neighbors(v) & live, 2)):
+                live.remove(v)
+                break
+        else:
+            return False
     return True
 
 

@@ -273,6 +273,11 @@ class _Packing:
         """The guard bits of the word's nonzero fields."""
         return ((word | self.guards) - self._ones) & self.guards
 
+    def units(self, words: Iterable[int]) -> int:
+        """The fields of the one-variable words, of degree 1 modulo
+        ``modulus``, filled; distinct ones lie in distinct fields."""
+        return sum({w for w in words if w % self.modulus == 1}) * self.modulus
+
     def fields(self, mask: int) -> bytes:
         """One byte per field: 1 where ``mask`` sets the field's guard bit."""
         # the guard bits are every width-th binary digit after the sentinel

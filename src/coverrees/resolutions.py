@@ -88,12 +88,11 @@ def _packed(gens) -> tuple[_Packing, list[int]]:
     return packing, [packing.pack(g.exponents) for g in gens]
 
 
-def _colon_variables(colons: list[int], modulus: int) -> int | None:
+def _colon_variables(colons: list[int], packing: _Packing) -> int | None:
     """The colon rule: packed monomial colons generate an ideal generated by
-    variables exactly when each meets a field of the one-variable colons, of
-    degree 1 modulo ``modulus``.  Returns those fields filled, else None."""
-    # distinct one-variable colons lie in distinct fields
-    fill = sum({q for q in colons if q % modulus == 1}) * modulus
+    variables exactly when each meets a field of the one-variable colons.
+    Returns those fields filled (``_Packing.units``), else None."""
+    fill = packing.units(colons)
     return fill if all(map(fill.__and__, colons)) else None
 
 
@@ -107,7 +106,7 @@ def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
     packing, words = _packed(gens)
     colon_variables = []
     for j, word in enumerate(words):
-        variables = _colon_variables(packing.colons(words[:j], word), packing.modulus)
+        variables = _colon_variables(packing.colons(words[:j], word), packing)
         if variables is None:
             return j + 1
         colon_variables.append(packing.positions(variables))
@@ -170,7 +169,7 @@ def _degree_block_search(pool: list[Monomial]) -> LinearQuotientsCertificate | N
         blocks.setdefault(u.total_degree, []).append(j)
     order: list[int] = []
     for degree in sorted(blocks):
-        block = _block_order(blocks[degree], order, colons, packing.modulus)
+        block = _block_order(blocks[degree], order, colons, packing)
         if block is None:
             return None
         order += block
@@ -179,7 +178,7 @@ def _degree_block_search(pool: list[Monomial]) -> LinearQuotientsCertificate | N
     return LinearQuotientsCertificate(result.ordering, result.colon_variables, "search")
 
 
-def _block_order(block: list[int], below: list[int], colons, modulus: int) -> list[int] | None:
+def _block_order(block: list[int], below: list[int], colons, packing: _Packing) -> list[int] | None:
     """An order of ``block`` in which each generator passes the colon rule
     against ``below`` and the block members before it, or None.
 
@@ -192,7 +191,7 @@ def _block_order(block: list[int], below: list[int], colons, modulus: int) -> li
     empty; otherwise there is no order.  Then backtracking, with failed
     subsets memoized (bit i of ``placed`` is ``block[i]``).
     """
-    size = len(block)
+    size, modulus = len(block), packing.modulus
     lower = [[colons[c][l] for l in below] for c in block]
     reached = block[:1]
     if below:
@@ -211,7 +210,7 @@ def _block_order(block: list[int], below: list[int], colons, modulus: int) -> li
         for i, c in enumerate(block):
             if placed >> i & 1:
                 continue
-            if _colon_variables(lower[i] + [colons[c][l] for l in prefix], modulus) is None:
+            if _colon_variables(lower[i] + [colons[c][l] for l in prefix], packing) is None:
                 continue
             found = dfs(prefix + [c], placed | 1 << i)
             if found is not None:

@@ -52,6 +52,26 @@ def brute_maximal_independent_sets(graph):
     return {s for s in independent if not any(s < other for other in independent)}
 
 
+def brute_is_chordal(graph):
+    """Whether no induced cycle has length >= 4, by 2^V enumeration: a vertex
+    set induces a cycle when each member has two neighbours in it and a walk
+    along them from one member visits them all."""
+    for r in range(4, len(graph.labels) + 1):
+        for combo in combinations(graph.labels, r):
+            chosen = set(combo)
+            near = {v: graph.neighbors(v) & chosen for v in combo}
+            if any(len(ws) != 2 for ws in near.values()):
+                continue
+            seen, stack = {combo[0]}, [combo[0]]
+            while stack:
+                for w in near[stack.pop()] - seen:
+                    seen.add(w)
+                    stack.append(w)
+            if seen == chosen:
+                return False
+    return True
+
+
 def fraction_rank(rows):
     """Rank of an integer matrix via Gaussian elimination over Fraction."""
     matrix = [[Fraction(entry) for entry in row] for row in rows]

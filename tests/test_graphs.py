@@ -24,6 +24,7 @@ from coverrees import (
 )
 
 from oracles import (
+    brute_is_chordal,
     brute_maximal_independent_sets,
     brute_minimal_covers,
     is_cover,
@@ -181,6 +182,9 @@ def test_poset_closure_and_antisymmetry():
         Poset(["a", "a"], [])
     with pytest.raises(ValueError):
         Poset(["a"], [("a", "q")])
+    # a 4-chain given out of order, with the elements out of order too
+    chain = Poset(["a", "c", "b", "d"], [("c", "d"), ("a", "b"), ("b", "c")])
+    assert chain.relation == {(a, b) for a in "abcd" for b in "abcd" if a <= b}
 
 
 def test_cm_bipartite_from_poset():
@@ -328,6 +332,17 @@ def test_is_chordal():
         ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
     )
     assert not is_chordal(two_squares)
+
+
+def test_is_chordal_matches_brute_force():
+    rng = random.Random(6151)
+    seen = set()
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=8)
+        expected = brute_is_chordal(g)
+        assert is_chordal(g) == expected, g.edges
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_is_connected():
