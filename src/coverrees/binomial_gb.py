@@ -7,7 +7,7 @@ reduction, so no field arithmetic ever happens.  The engine runs on
 order of ``monomials``, lex on the exponent tuple, is int order.  An
 element is its lead word and trail - lead, so an S-binomial term and a
 rewrite are one addition each, and divisors are looked up in the
-package's one divisor index, ``monomials._LeadIndex``, over packed leads;
+live leads' index, ``monomials._LeadIndex``, over packed leads;
 ``Binomial``s are built only where words enter and leave.  The toric
 kernel of x_i -> x_i, y_j -> u_j*t eliminates t on words alone: t is
 their first, most significant field, so that order puts it above every
@@ -318,8 +318,8 @@ def _run(packing: _Packing, rules: list, weights: Sequence[int], degree_cap: int
         quotients = colons(map(leads.__getitem__, live), lead)
         first = dict(zip(reversed(quotients), reversed(live)))
         counts["pairs_dropped_f"] += len(live) - len(first)
-        # criterion M against the one-variable quotients
-        units = packing.units(first)
+        # criterion M against the one-variable quotients, their fields filled
+        units = sum(q for q in first if q % modulus == 1) * modulus
         for q, g in first.items():
             if q % modulus != 1 and q & units:
                 counts["pairs_dropped_m"] += 1

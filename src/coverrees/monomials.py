@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import combinations_with_replacement, compress, groupby
-from operator import add, and_, attrgetter, le, lshift, or_, sub
+from itertools import combinations_with_replacement, compress
+from operator import add, and_, getitem, le, lshift, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -273,11 +273,6 @@ class _Packing:
         """The guard bits of the word's nonzero fields."""
         return ((word | self.guards) - self._ones) & self.guards
 
-    def units(self, words: Iterable[int]) -> int:
-        """The fields of the one-variable words, of degree 1 modulo
-        ``modulus``, filled; distinct ones lie in distinct fields."""
-        return sum({w for w in words if w % self.modulus == 1}) * self.modulus
-
     def fields(self, mask: int) -> bytes:
         """One byte per field: 1 where ``mask`` sets the field's guard bit."""
         # the guard bits are every width-th binary digit after the sentinel
@@ -333,8 +328,29 @@ def canonical_key(m: Monomial) -> tuple[int, ...]:
 # Monomial ideals
 
 
+def _thresholds(members: Sequence[Sequence[int]], top: int) -> list[list[int]]:
+    """``table[k][e]`` is the bitset (bit i for ``members[i]``) of the
+    members whose k-th exponent is at most e <= ``top``; the members of a
+    bitset S dividing w are S & AND_k table[k][w_k] (``_divisors``)."""
+    table = []
+    for column in zip(*members):
+        digits, row = bytearray(b"0" * len(column)), []  # member i is digit ~i
+        ranked = sorted(range(len(column)), key=column.__getitem__, reverse=True)
+        for e in range(top + 1):
+            while ranked and column[ranked[-1]] <= e:
+                digits[~ranked.pop()] = 49  # "1"
+            row.append(int(digits, 2))
+        table.append(row)
+    return table
+
+
+def _divisors(table: list[list[int]], w: Iterable[int], among: int) -> int:
+    """The members in the bitset ``among`` dividing w, by ``_thresholds``."""
+    return reduce(and_, map(getitem, table, w), among)
+
+
 class _LeadIndex:
-    """Leads packed by one ``_Packing``, indexed by their support.
+    """Changing leads packed by one ``_Packing``, indexed by their support.
 
     Bit g of an int bitset stands for ``leads[g]``.  ``has[v]`` holds the
     leads that use variable v, and ``alive`` those still in use.  The live
@@ -390,28 +406,19 @@ class MonomialIdeal:
     """A monomial ideal held as its unique minimal generating set, sorted
     descending under the canonical key so equal ideals compare equal.
 
-    Any generating set may be given: it is scanned one degree block at a
-    time, ascending.  A proper divisor has strictly lower degree, so each
-    block is checked against the divisor index of the blocks below, and
-    what survives is added whole.
+    Any generating set may be given: a generator is kept when it is its
+    own only divisor among them (``_thresholds``).
     """
 
     __slots__ = ("universe", "gens")
 
     def __init__(self, universe: VariableUniverse, gens: Iterable[Monomial]):
-        gens = set(gens)
+        gens = list(set(gens))
         if any(g.universe != universe for g in gens):
             raise ValueError("generator outside the declared universe")
-        packing = _Packing(len(universe.all_vars), max((g.total_degree for g in gens), default=0))
-        index = _LeadIndex(packing)
-        kept: list[Monomial] = []
-        by_degree = attrgetter("total_degree")
-        for _, block in groupby(sorted(gens, key=by_degree), by_degree):
-            words = {g: packing.pack(g.exponents) for g in block}
-            minimal = [g for g, word in words.items() if index.first_divisor(word) is None]
-            for g in minimal:
-                index.add(words[g])
-            kept += minimal
+        table = _thresholds([g.exponents for g in gens], max([0] + [g.total_degree for g in gens]))
+        every = (1 << len(gens)) - 1
+        kept = [g for i, g in enumerate(gens) if _divisors(table, g.exponents, every) == 1 << i]
         self.universe = universe
         self.gens = tuple(sorted(kept, key=canonical_key, reverse=True))
 

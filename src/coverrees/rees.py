@@ -19,11 +19,11 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     VariableUniverse,
-    _LeadIndex,
-    _Packing,
     _Record,
     _Value,
+    _divisors,
     _monomial,
+    _thresholds,
     canonical_key,
     monomials_of_degree,
 )
@@ -134,19 +134,16 @@ def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:
     """Standard monomials of degree k in the y-block.
 
     A y-monomial is standard when no minimal generator of the initial
-    ideal divides it; the divisor index tries only the pure-y ones.  For
-    the unit ideal the kernel is zero and y1^k, mapped to 1, is the one.
+    ideal divides it (``monomials._thresholds``).  For the unit ideal the
+    kernel is zero and y1^k, mapped to 1, is the one.
     """
     if k < 1:
         raise ValueError("standard_monomials expects k >= 1")
     in_gens = p.basis.initial_ideal.gens
-    packing = _Packing(len(p.universe.all_vars), max([k] + [m.total_degree for m in in_gens]))
-    index = _LeadIndex(packing, [packing.pack(m.exponents) for m in in_gens])
-    members = [
-        m
-        for m in monomials_of_degree(p.universe, k, p.universe.y_vars)
-        if index.first_divisor(packing.pack(m.exponents)) is None
-    ]
+    table = _thresholds([m.exponents for m in in_gens], max([k] + [m.total_degree for m in in_gens]))
+    every = (1 << len(in_gens)) - 1
+    words = monomials_of_degree(p.universe, k, p.universe.y_vars)
+    members = [m for m in words if not _divisors(table, m.exponents, every)]
     members.sort(key=canonical_key)
     images = [_image(p, m.exponents) for m in members]
     mapped = [_monomial(p.ideal.universe, e, sum(e)) for e in images]

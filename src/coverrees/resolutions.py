@@ -1,7 +1,7 @@
 """Linear quotients, multigraded Betti numbers, componentwise linearity.
 
 Linear quotients (Herzog-Takayama, 2002) are checked by one colon rule on
-packed colons g : u.  One exact search serves the CLI and the Betti layer:
+threshold bitsets.  One exact search serves the CLI and the Betti layer:
 two heuristic orders sorted by degree, then backtracking one degree block
 at a time (Jahan-Zheng, JCTA 117, 2010), each block first screened by the
 linear-graph rule.  The order is the certificate; it is nondecreasing in
@@ -23,13 +23,18 @@ reduction over the integers (Edelsbrunner-Harer, Computational Topology,
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
+
 from .errors import GeneratorLimitExceeded, LatticeLimitExceeded
 from .monomials import (
     Monomial,
     MonomialIdeal,
     _Packing,
     _Value,
+    _divisors,
     _monomial,
+    _thresholds,
     canonical_key,
     component,  # unused; kept because bench/child.py traces resolutions.component
 )
@@ -58,7 +63,7 @@ class LinearQuotientsCertificate(_Value):
     (u_1, ..., u_{j-1}) : u_j is generated by variables.
 
     The order is the certificate; ``check_linear_quotients`` re-checks it
-    with O(n^2) colons.  ``colon_variables[j]`` is the bitmask, over the
+    on threshold bitsets.  ``colon_variables[j]`` is the bitmask, over the
     exponent positions, of the variables generating the colon at position
     j, so r_j is its popcount.  ``method`` names the rule that found it
     ("ascending", "descending" or "search"), None from a direct check.
@@ -88,12 +93,20 @@ def _packed(gens) -> tuple[_Packing, list[int]]:
     return packing, [packing.pack(g.exponents) for g in gens]
 
 
-def _colon_variables(colons: list[int], packing: _Packing) -> int | None:
-    """The colon rule: packed monomial colons generate an ideal generated by
-    variables exactly when each meets a field of the one-variable colons.
-    Returns those fields filled (``_Packing.units``), else None."""
-    fill = packing.units(colons)
-    return fill if all(map(fill.__and__, colons)) else None
+def _table(gens) -> list[list[int]]:
+    """``monomials._thresholds`` of the generators, up to each x_k * u."""
+    return _thresholds([g.exponents for g in gens], max([0] + [g.total_degree for g in gens]) + 1)
+
+
+def _colon_variables(table, u: tuple[int, ...], placed: int) -> tuple[int, int | None]:
+    """The colon rule for u against the bitset ``placed`` of ``table``: x_k
+    is in the colon exactly when N_k, the placed g dividing x_k * u, is not
+    empty, and these x_k generate it exactly when no placed g : u is free of
+    them.  Returns the union of the N_k and, as a bitmask over the exponent
+    positions, the variables, or None when the rule fails."""
+    near = [_divisors(table, u[:k] + (u[k] + 1,) + u[k + 1 :], placed) for k in range(len(u))]
+    free = reduce(and_, (row[e] for row, e, n in zip(table, u, near) if n), placed)
+    return reduce(or_, near, 0), None if free else sum(1 << k for k, n in enumerate(near) if n)
 
 
 def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
@@ -103,13 +116,13 @@ def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
         raise ValueError("generators must be pairwise distinct")
     if len({g.universe for g in gens}) > 1:
         raise ValueError("generators live in different universes")
-    packing, words = _packed(gens)
+    table = _table(gens)
     colon_variables = []
-    for j, word in enumerate(words):
-        variables = _colon_variables(packing.colons(words[:j], word), packing)
+    for j, u in enumerate(gens):
+        variables = _colon_variables(table, u.exponents, (1 << j) - 1)[1]
         if variables is None:
             return j + 1
-        colon_variables.append(packing.positions(variables))
+        colon_variables.append(variables)
     return LinearQuotientsCertificate(gens, tuple(colon_variables))
 
 
@@ -159,17 +172,13 @@ def _degree_block_search(pool: list[Monomial]) -> LinearQuotientsCertificate | N
     whatever order the block took, so each block is searched on its own.
     Candidates are tried in ``pool`` order; the order found is re-checked.
     """
-    # colons[j][l]: the colon pool[l] : pool[j]
-    packing, words = _packed(pool)
-    colons = [packing.colons(words, word) for word in words]
-    if any(not colons[j][l] for j in range(len(pool)) for l in range(len(pool)) if l != j):
+    table = _table(pool)
+    if any(_divisors(table, u.exponents, (1 << len(pool)) - 1) != 1 << j for j, u in enumerate(pool)):
         raise ValueError("the search needs minimal generators: one divides another")
-    blocks: dict[int, list[int]] = {}
-    for j, u in enumerate(pool):
-        blocks.setdefault(u.total_degree, []).append(j)
     order: list[int] = []
-    for degree in sorted(blocks):
-        block = _block_order(blocks[degree], order, colons, packing)
+    for degree in sorted({u.total_degree for u in pool}):
+        same = [j for j, u in enumerate(pool) if u.total_degree == degree]
+        block = _block_order(same, order, table, pool)
         if block is None:
             return None
         order += block
@@ -178,7 +187,7 @@ def _degree_block_search(pool: list[Monomial]) -> LinearQuotientsCertificate | N
     return LinearQuotientsCertificate(result.ordering, result.colon_variables, "search")
 
 
-def _block_order(block: list[int], below: list[int], colons, packing: _Packing) -> list[int] | None:
+def _block_order(block: list[int], below: list[int], table, pool) -> list[int] | None:
     """An order of ``block`` in which each generator passes the colon rule
     against ``below`` and the block members before it, or None.
 
@@ -189,15 +198,14 @@ def _block_order(block: list[int], below: list[int], colons, packing: _Packing) 
     order, every member reaches through such pairs a member with a
     one-variable colon from ``below``, or the first member when ``below`` is
     empty; otherwise there is no order.  Then backtracking, with failed
-    subsets memoized (bit i of ``placed`` is ``block[i]``).
+    placed sets memoized.
     """
-    size, modulus = len(block), packing.modulus
-    lower = [[colons[c][l] for l in below] for c in block]
-    reached = block[:1]
-    if below:
-        reached = [c for c, qs in zip(block, lower) if any(q % modulus == 1 for q in qs)]
+    size, placed, members = len(block), sum(1 << l for l in below), sum(1 << c for c in block)
+    # reach[i]: the generators g with g : block[i] one variable
+    reach = [_colon_variables(table, pool[c].exponents, placed | members ^ 1 << c)[0] for c in block]
+    reached = [c for c, near in zip(block, reach) if near & placed] if below else block[:1]
     for c in reached:  # also visits the members this loop appends
-        reached += [d for d in block if d not in reached and colons[d][c] % modulus == 1]
+        reached += [d for d, near in zip(block, reach) if d not in reached and near >> c & 1]
     if len(reached) < size:
         return None
     dead: set[int] = set()
@@ -207,18 +215,16 @@ def _block_order(block: list[int], below: list[int], colons, packing: _Packing) 
             return prefix
         if placed in dead:
             return None
-        for i, c in enumerate(block):
-            if placed >> i & 1:
+        for c in block:
+            if placed >> c & 1 or _colon_variables(table, pool[c].exponents, placed)[1] is None:
                 continue
-            if _colon_variables(lower[i] + [colons[c][l] for l in prefix], packing) is None:
-                continue
-            found = dfs(prefix + [c], placed | 1 << i)
+            found = dfs(prefix + [c], placed | 1 << c)
             if found is not None:
                 return found
         dead.add(placed)
         return None
 
-    return dfs([], 0)
+    return dfs([], placed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Monomial arithmetic, the monomial order, and monomial-ideal helpers."""
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product as tuples
 from math import comb
+from operator import le
 
 import pytest
 
@@ -22,7 +23,7 @@ from coverrees import (
     variable,
 )
 
-from coverrees.monomials import _Packing
+from coverrees.monomials import _Packing, _divisors, _thresholds
 from oracles import (
     colon_exponents,
     compare_monomials,
@@ -331,6 +332,28 @@ def test_indexed_minimality_matches_brute_force():
         wide += len(brute) > 64
         assert set(MonomialIdeal(u, gens).gens) == brute
     assert wide >= 10
+
+
+def test_threshold_divisors_match_brute_force():
+    # every w up to top against random members: repeated, nested (so not
+    # minimal) and over 64 of them, on zero to three variables
+    rng = random.Random(4409)
+    for trial in range(150):
+        n = rng.randint(0, 3)
+        top = rng.randint(0, 4)
+        size = rng.choice([0, 1, 2, 7, 30, 80])
+        members = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(size)]
+        if members and trial % 3 == 0:
+            members += rng.choices(members, k=3)
+        table = _thresholds(members, top)
+        every = (1 << len(members)) - 1
+        among = rng.getrandbits(len(members))
+        for w in tuples(range(top + 1), repeat=n):
+            brute = [all(map(le, m, w)) for m in members]
+            assert _divisors(table, w, every) == sum(1 << i for i, b in enumerate(brute) if b)
+            assert _divisors(table, w, among) == among & _divisors(table, w, every)
+    assert _thresholds([], 3) == [] and _divisors([], (2, 1), 0) == 0
+    assert _divisors(_thresholds([(), ()], 0), (), 0b11) == 0b11
 
 
 def test_power():

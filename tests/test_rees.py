@@ -2,6 +2,8 @@
 
 import random
 import time
+from functools import partial
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -286,6 +288,23 @@ def test_standard_images_lie_in_the_power():
             kth = power(p.ideal, k)
             for m in sm.mapped_generators:
                 assert contains(kth, m)
+
+
+def test_standard_monomials_match_oracle_on_random_graphs():
+    # members are exactly the degree-k y-words outside the initial ideal,
+    # ascending
+    rng = random.Random(5023)
+    excluded = 0
+    for _ in range(100):
+        p = _present(random_graph(rng))
+        u, initial = p.universe, p.basis.initial_ideal
+        for k in (1, 2, 3):
+            combos = combinations_with_replacement(u.y_vars, k)
+            words = [product(u, map(partial(variable, u), c)) for c in combos]
+            outside = sorted((m for m in words if not contains(initial, m)), key=canonical_key)
+            assert list(standard_monomials(p, k).members) == outside, (p.generators, k)
+            excluded += len(words) - len(outside)
+    assert excluded > 0
 
 
 def test_random_kernel_bases_verify():

@@ -304,8 +304,10 @@ def test_linear_graph_rule_agrees_with_exhaustive_search():
 def test_linear_graph_rule_decides_split_components(monkeypatch):
     # the 21-generator components of degree 6 of complete_bipartite:2,3
     # squared and of degree 8 of its cube have no order: their linear
-    # graphs are disconnected, so no subset is searched; only the two
-    # sweeps run the colon rule (backtracking alone takes seconds on each)
+    # graphs are disconnected, so no subset is searched; the colon rule
+    # runs at most once per generator in each of the two sweeps and once
+    # per generator in the screen (backtracking alone makes thousands of
+    # calls on each)
     calls = []
     rule = resolutions._colon_variables
 
@@ -320,7 +322,7 @@ def test_linear_graph_rule_decides_split_components(monkeypatch):
         assert len(gens) == 21
         calls.clear()
         assert find_linear_quotients_order(gens, max_generators=10**6) is None, (k, d)
-        assert len(calls) <= 2 * len(gens), (k, d)
+        assert len(calls) <= 3 * len(gens), (k, d)
 
 
 def test_degree_block_search_needs_minimal_generators():
