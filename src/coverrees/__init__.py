@@ -31,7 +31,6 @@ from .monomials import (
     canonical_key,
     component,
     cover_ideal,
-    monomials_of_degree,
     parse_monomial,
     power,
     product,

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import combinations_with_replacement, compress
+from itertools import compress
 from operator import add, and_, getitem, le, lshift, or_, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "VariableUniverse",
@@ -34,7 +34,6 @@ __all__ = [
     "variable",
     "product",
     "parse_monomial",
-    "monomials_of_degree",
     "canonical_key",
 ]
 
@@ -455,43 +454,28 @@ class MonomialIdeal:
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """I^k via k-fold products of generators, each one sum of exponent
-    tuples, of which the constructor keeps the minimal ones."""
+    """I^k one factor at a time: G(I^(i+1)) lies in G(I^i)·G(I), so the
+    constructor keeps the minimal sums of those exponent tuples."""
     if k < 1:
         raise ValueError("power expects k >= 1")
-    gens = [g.exponents for g in ideal.gens]
-    prods = {tuple(map(sum, zip(*combo))) for combo in combinations_with_replacement(gens, k)}
-    return MonomialIdeal(ideal.universe, (_monomial(ideal.universe, e, sum(e)) for e in prods))
-
-
-def monomials_of_degree(
-    universe: VariableUniverse, d: int, variables: Sequence[str] | None = None
-) -> Iterator[Monomial]:
-    """All degree-d monomials in the given variables (default: the whole
-    universe), in a deterministic enumeration order."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    names = tuple(variables) if variables is not None else universe.all_vars
-    positions = [universe.index_of(v) for v in names]
-    for combo in combinations_with_replacement(positions, d):
-        vector = [0] * len(universe.all_vars)
-        for i in combo:
-            vector[i] += 1
-        yield _monomial(universe, tuple(vector), d)
+    universe, gens, kth = ideal.universe, [g.exponents for g in ideal.gens], ideal
+    for _ in range(k - 1):
+        sums = {tuple(map(add, a.exponents, b)) for a in kth.gens for b in gens}
+        kth = MonomialIdeal(universe, (_monomial(universe, e, sum(e)) for e in sums))
+    return kth
 
 
 def component(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
-    """The ideal generated by every degree-j monomial of the ideal."""
+    """The ideal generated by every degree-j monomial of the ideal, one
+    degree at a time: those of degree d + 1 are those of degree d times a
+    variable, and the generators of degree d + 1."""
     if j < 0:
         raise ValueError("component degree must be nonnegative")
-    universe = ideal.universe
-    found: set[Monomial] = set()
-    for g in ideal.gens:
-        if g.total_degree > j:
-            continue
-        for m in monomials_of_degree(universe, j - g.total_degree):
-            found.add(g * m)
-    return MonomialIdeal(universe, found)
+    part: set[tuple[int, ...]] = set()
+    for d in range(j + 1):
+        part = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in part for i in range(len(e))}
+        part.update(g.exponents for g in ideal.gens if g.total_degree == d)
+    return MonomialIdeal(ideal.universe, (_monomial(ideal.universe, e, j) for e in part))
 
 
 def cover_ideal(graph) -> MonomialIdeal:

@@ -25,7 +25,6 @@ from .monomials import (
     _monomial,
     _thresholds,
     canonical_key,
-    monomials_of_degree,
 )
 
 __all__ = [
@@ -134,16 +133,28 @@ def standard_monomials(p: ReesPresentation, k: int) -> StandardMonomialSet:
     """Standard monomials of degree k in the y-block.
 
     A y-monomial is standard when no minimal generator of the initial
-    ideal divides it (``monomials._thresholds``).  For the unit ideal the
-    kernel is zero and y1^k, mapped to 1, is the one.
+    ideal divides it; only those free of base variables can, and the
+    threshold bitsets (``monomials._thresholds``) hold their y-parts.
+    Standard words form an order ideal, so those of degree d + 1 are the
+    standard ones among the words of degree d times a y_j at or after
+    their last y, tested against the generators that y_j divides.  For
+    the unit ideal the kernel is zero and y1^k, mapped to 1, is the one.
     """
     if k < 1:
         raise ValueError("standard_monomials expects k >= 1")
-    in_gens = p.basis.initial_ideal.gens
-    table = _thresholds([m.exponents for m in in_gens], max([k] + [m.total_degree for m in in_gens]))
-    every = (1 << len(in_gens)) - 1
-    words = monomials_of_degree(p.universe, k, p.universe.y_vars)
-    members = [m for m in words if not _divisors(table, m.exponents, every)]
+    q, block = p.y_count, p.universe.y_block
+    y_gens = [m.exponents[block] for m in p.basis.initial_ideal.gens if not m.s_degree]
+    table, every = _thresholds(y_gens, k), (1 << len(y_gens)) - 1
+    uses = [every & ~row[0] for row in table] or [0] * q  # no rows without y_gens
+    words = [(p.universe.one().exponents, 0)]  # standard words of degree d, each with its last y
+    for _ in range(k):
+        words = [
+            (w, j)
+            for v, last in words
+            for j in range(last, q)
+            if not _divisors(table, (w := v[:j] + (v[j] + 1,) + v[j + 1 :]), uses[j])
+        ]
+    members = [_monomial(p.universe, w, k) for w, _ in words]
     members.sort(key=canonical_key)
     images = [_image(p, m.exponents) for m in members]
     mapped = [_monomial(p.ideal.universe, e, sum(e)) for e in images]

@@ -2,7 +2,6 @@
 
 import random
 from itertools import combinations_with_replacement, product as tuples
-from math import comb
 from operator import le
 
 import pytest
@@ -14,7 +13,6 @@ from coverrees import (
     canonical_key,
     component,
     cover_ideal,
-    monomials_of_degree,
     oriented_binomial,
     parse_monomial,
     power,
@@ -393,6 +391,23 @@ def test_power_membership_is_sound():
             assert contains(ideal, g)
 
 
+def test_power_is_the_minimal_products():
+    # on random ideals, zero and unit among them: I^k is minimally generated
+    # by the minimal elements of the products of k generators, by brute force
+    rng = random.Random(3131)
+    for _ in range(60):
+        u = random_universe(rng, max_s=4, max_y=1)
+        gens = {random_monomial(rng, u, 3) for _ in range(rng.randint(1, 5))} - {u.one()}
+        for ideal, k in tuples((MonomialIdeal(u, gens), MonomialIdeal(u, [u.one()])), (1, 2, 3)):
+            prods = {product(u, combo) for combo in combinations_with_replacement(ideal.gens, k)}
+            minimal = {
+                m
+                for m in prods
+                if not any(h != m and divides_exponents(h.exps, m.exps) for h in prods)
+            }
+            assert set(power(ideal, k).gens) == minimal, (ideal, k)
+
+
 def _as_dict(exponents):
     return {p: e for p, e in enumerate(exponents) if e}
 
@@ -436,19 +451,6 @@ def test_packing_is_sized_by_total_degree():
     assert packing.positions(q) == 0b1111
 
 
-def test_monomials_of_degree():
-    u = VariableUniverse(("x1", "x2", "x3"))
-    for d in range(5):
-        ms = list(monomials_of_degree(u, d))
-        assert len(ms) == comb(3 + d - 1, d)
-        assert len(set(ms)) == len(ms)
-        assert all(m.total_degree == d for m in ms)
-    only_two = list(monomials_of_degree(u, 2, variables=("x1", "x2")))
-    assert len(only_two) == 3
-    with pytest.raises(ValueError):
-        list(monomials_of_degree(u, -1))
-
-
 def test_component():
     u = VariableUniverse(("x1", "x2", "x3"))
     ideal = MonomialIdeal(u, [parse_monomial("x2", u), parse_monomial("x1*x3", u)])
@@ -461,6 +463,21 @@ def test_component():
     for g in component(ideal, 3).gens:
         assert contains(ideal, g)
         assert g.total_degree == 3
+
+
+def test_component_is_every_degree_j_member():
+    # on random ideals, zero and unit among them: the degree-j component is
+    # generated by every degree-j monomial in the ideal, so it is zero below
+    # the lowest generator degree
+    rng = random.Random(3132)
+    for _ in range(60):
+        u = random_universe(rng, max_s=3, max_y=1)
+        gens = {random_monomial(rng, u, 3) for _ in range(rng.randint(0, 4))} - {u.one()}
+        for ideal, j in tuples((MonomialIdeal(u, gens), MonomialIdeal(u, [u.one()])), range(5)):
+            words = combinations_with_replacement(u.all_vars, j)
+            degree_j = (product(u, map(variable, [u] * j, word)) for word in words)
+            expected = {m for m in degree_j if contains(ideal, m)}
+            assert set(component(ideal, j).gens) == expected, (ideal, j)
 
 
 def test_cover_ideal_small_graphs():
