@@ -33,7 +33,6 @@ from .monomials import (
     cover_ideal,
     parse_monomial,
     power,
-    product,
     variable,
 )
 from .binomial_gb import (

@@ -31,7 +31,6 @@ from .monomials import (
     _LeadIndex,
     _Packing,
     _monomial,
-    _same_universe,
 )
 
 __all__ = [
@@ -172,8 +171,9 @@ def reduce_binomial(
 
 def s_pair(f: Binomial, g: Binomial) -> Binomial | None:
     """The S-binomial of f and g; None when the terms already agree."""
-    _same_universe(f.lead, g.lead)
     u = f.lead.universe
+    if u != g.lead.universe:
+        raise ValueError("monomials live in different universes")
     # lcm - lead + trail: degree at most three times the largest term's
     terms = (f.lead, f.trail, g.lead, g.trail)
     top = 3 * max(m.total_degree for m in terms)

@@ -5,8 +5,9 @@ polynomial-ring block (graph vertices; sequence order is the lex
 priority, highest first) and an adjoined block: ``y1 > y2 > ...`` to
 present Rees algebras, or ``t``, the auxiliary variable of y_j -> u_j*t,
 for images in the base ring.  A monomial stores its exponents once, as a
-dense tuple laid out ``(y1, ..., yq, s1, ..., sn)``; arithmetic is
-element-wise on it.
+dense tuple laid out ``(y1, ..., yq, s1, ..., sn)``.  A monomial is a
+value: its degrees, names, equality and hash.  The engine computes on the
+exponent tuples and on their packed words (``_Packing``), not on monomials.
 
 The one monomial order is lex on that tuple (``canonical_key``): the
 adjoined block decides first, and within it the first name does, then
@@ -21,7 +22,7 @@ from __future__ import annotations
 import re
 from functools import reduce
 from itertools import compress
-from operator import add, and_, getitem, le, lshift, or_, sub
+from operator import add, and_, getitem, lshift, or_
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "power",
     "component",
     "variable",
-    "product",
     "parse_monomial",
     "canonical_key",
 ]
@@ -166,40 +166,6 @@ class Monomial:
     def is_one(self) -> bool:
         return not self.total_degree
 
-    def divides(self, other: "Monomial") -> bool:
-        _same_universe(self, other)
-        return self.total_degree <= other.total_degree and all(
-            map(le, self.exponents, other.exponents)
-        )
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        _same_universe(self, other)
-        return _monomial(
-            self.universe,
-            tuple(map(add, self.exponents, other.exponents)),
-            self.total_degree + other.total_degree,
-        )
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        """Exact division; raises ValueError when not divisible."""
-        _same_universe(self, other)
-        exponents = tuple(map(sub, self.exponents, other.exponents))
-        if exponents and min(exponents) < 0:
-            raise ValueError(f"{other} does not divide {self}")
-        return _monomial(self.universe, exponents, self.total_degree - other.total_degree)
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _same_universe(self, other)
-        exponents = tuple(map(min, self.exponents, other.exponents))
-        return _monomial(self.universe, exponents, sum(exponents))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _same_universe(self, other)
-        exponents = tuple(map(max, self.exponents, other.exponents))
-        return _monomial(self.universe, exponents, sum(exponents))
-
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -283,20 +249,8 @@ class _Packing:
         return sum(1 << p for p, s in enumerate(self.shifts) if word >> s & self.modulus)
 
 
-def _same_universe(a: Monomial, b: Monomial) -> None:
-    if a.universe is not b.universe and a.universe != b.universe:
-        raise ValueError("monomials live in different universes")
-
-
 def variable(universe: VariableUniverse, name: str, power: int = 1) -> Monomial:
     return Monomial(universe, {name: power})
-
-
-def product(universe: VariableUniverse, factors: Iterable[Monomial]) -> Monomial:
-    out = universe.one()
-    for f in factors:
-        out = out * f
-    return out
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(\d+))?$")
@@ -406,18 +360,20 @@ class MonomialIdeal:
     descending under the canonical key so equal ideals compare equal.
 
     Any generating set may be given: a generator is kept when it is its
-    own only divisor among them (``_thresholds``).
+    own only divisor among them (``_thresholds``).  Distinct monomials of
+    one degree never divide each other, so such a set is kept whole.
     """
 
     __slots__ = ("universe", "gens")
 
     def __init__(self, universe: VariableUniverse, gens: Iterable[Monomial]):
-        gens = list(set(gens))
+        gens = kept = list(set(gens))
         if any(g.universe != universe for g in gens):
             raise ValueError("generator outside the declared universe")
-        table = _thresholds([g.exponents for g in gens], max([0] + [g.total_degree for g in gens]))
-        every = (1 << len(gens)) - 1
-        kept = [g for i, g in enumerate(gens) if _divisors(table, g.exponents, every) == 1 << i]
+        if len({g.total_degree for g in gens}) > 1:
+            table = _thresholds([g.exponents for g in gens], max(g.total_degree for g in gens))
+            every = (1 << len(gens)) - 1
+            kept = [g for i, g in enumerate(gens) if _divisors(table, g.exponents, every) == 1 << i]
         self.universe = universe
         self.gens = tuple(sorted(kept, key=canonical_key, reverse=True))
 

@@ -24,6 +24,7 @@ reduction over the integers (Edelsbrunner-Harer, Computational Topology,
 from __future__ import annotations
 
 from functools import reduce
+from itertools import accumulate
 from operator import and_, or_
 
 from .errors import GeneratorLimitExceeded, LatticeLimitExceeded
@@ -103,9 +104,13 @@ def _colon_variables(table, u: tuple[int, ...], placed: int) -> tuple[int, int |
     is in the colon exactly when N_k, the placed g dividing x_k * u, is not
     empty, and these x_k generate it exactly when no placed g : u is free of
     them.  Returns the union of the N_k and, as a bitmask over the exponent
-    positions, the variables, or None when the rule fails."""
-    near = [_divisors(table, u[:k] + (u[k] + 1,) + u[k + 1 :], placed) for k in range(len(u))]
-    free = reduce(and_, (row[e] for row, e, n in zip(table, u, near) if n), placed)
+    positions, the variables, or None when the rule fails.  N_k is placed &
+    table[k][u_k + 1] & the rows table[i][u_i] of every i != k: 3n ANDs."""
+    rows = [row[e] for row, e in zip(table, u)]
+    before = accumulate(rows, and_, initial=placed)
+    after = list(accumulate(reversed(rows), and_, initial=-1))[::-1][1:]
+    near = [b & row[e + 1] & a for b, row, e, a in zip(before, table, u, after)]
+    free = reduce(and_, (r for r, n in zip(rows, near) if n), placed)
     return reduce(or_, near, 0), None if free else sum(1 << k for k, n in enumerate(near) if n)
 
 

@@ -11,7 +11,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from operator import le
 
-from coverrees import Monomial, VariableUniverse, betti_table, canonical_key, component
+from coverrees import VariableUniverse, betti_table, canonical_key, component
 
 
 def brute_minimal_covers(graph):
@@ -103,8 +103,16 @@ def divides_exponents(small, large):
 
 def contains(ideal, m):
     """Whether the monomial lies in the monomial ideal: a linear scan for a
-    generator dividing it."""
-    return any(g.divides(m) for g in ideal.gens)
+    generator whose exponent tuple is at most m's in every position."""
+    return any(all(map(le, g.exponents, m.exponents)) for g in ideal.gens)
+
+
+def monomial_product(universe, factors):
+    """The product of monomials of the universe: the sum of their exponent
+    tuples, read back by variable name; the empty product is 1."""
+    names = sorted(universe.all_vars, key=universe.index_of)
+    sums = [sum(column) for column in zip(*(f.exponents for f in factors))]
+    return universe.monomial(dict(zip(names, sums)))
 
 
 def colon_exponents(u, v):
@@ -354,3 +362,22 @@ def random_graph(rng, max_vertices=9, edge_probability=0.45):
             if rng.random() < edge_probability:
                 edges.append((labels[i], labels[j]))
     return Graph(labels, edges)
+
+
+def hibi_generator_count(elements, relations, k):
+    """|G(J^k)| for J the Hibi ideal of the poset on ``elements`` with a <= b
+    for each pair (a, b) of ``relations``: the number of multichains
+    I_1 ⊆ ... ⊆ I_k of its order ideals (Herzog-Hibi, J. Algebraic Combin.
+    22, 2005).  The order ideals are the subsets holding a whenever they
+    hold b, found over every subset; the multichains are counted by their
+    top ideal, one length at a time."""
+    ideals = [
+        chosen
+        for r in range(len(elements) + 1)
+        for chosen in map(frozenset, combinations(elements, r))
+        if all(a in chosen for a, b in relations if b in chosen)
+    ]
+    chains = dict.fromkeys(ideals, 1)
+    for _ in range(k - 1):
+        chains = {top: sum(n for below, n in chains.items() if below <= top) for top in ideals}
+    return sum(chains.values())

@@ -23,7 +23,13 @@ from coverrees import (
     toric_kernel,
     variable,
 )
-from oracles import exponent_rules, groebner_criterion, reduces_to_zero
+from oracles import (
+    divides_exponents,
+    exponent_rules,
+    groebner_criterion,
+    monomial_product,
+    reduces_to_zero,
+)
 
 
 def _mk(text, universe):
@@ -188,15 +194,10 @@ def _evaluate(m, gens):
     """Substitute y_j -> gens[j] and keep the base part; a direct check
     that kernel elements really are relations of the monomial map."""
     base = gens[0].universe
-    out = base.one()
-    for idx, e in enumerate(m.exponents[m.universe.y_block]):
-        for _ in range(e):
-            out = out * gens[idx]
+    factors = [u for u, e in zip(gens, m.exponents[m.universe.y_block]) for _ in range(e)]
     y_vars = set(m.universe.y_vars)
-    for name, e in m.exps.items():
-        if name not in y_vars:
-            out = out * base.monomial({name: e})
-    return out
+    factors.append(base.monomial({name: e for name, e in m.exps.items() if name not in y_vars}))
+    return monomial_product(base, factors)
 
 
 CORPUS = [
@@ -228,8 +229,8 @@ def test_kernel_is_groebner_and_reduced():
         for e in elems:
             for f in elems:
                 if e is not f:
-                    assert not f.lead.divides(e.lead)
-                assert not f.lead.divides(e.trail)
+                    assert not divides_exponents(f.lead.exps, e.lead.exps)
+                assert not divides_exponents(f.lead.exps, e.trail.exps)
 
 
 def test_buchberger_is_idempotent_on_reduced_bases():
@@ -275,9 +276,8 @@ def _rees_generators(gens):
     """The generators y_j - u_j*t over the universe with t heading the y-block."""
     base = gens[0].universe
     full = VariableUniverse(base.s_vars, ("t",) + tuple(f"y{j}" for j in range(1, len(gens) + 1)))
-    t = variable(full, "t")
     return [
-        oriented_binomial(full.monomial(u.exps) * t, variable(full, f"y{j}"))
+        oriented_binomial(full.monomial({**u.exps, "t": 1}), variable(full, f"y{j}"))
         for j, u in enumerate(gens, start=1)
     ]
 

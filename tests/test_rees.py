@@ -11,15 +11,16 @@ from coverrees import (
     DegreeCapExceeded,
     Graph,
     MonomialIdeal,
+    Poset,
     VariableUniverse,
     attach,
     cameron_walker,
     canonical_key,
+    cm_bipartite_from_poset,
     cover_ideal,
     minimal_generation_check,
     parse_monomial,
     power,
-    product,
     rees_presentation,
     standard_family,
     standard_monomials,
@@ -28,7 +29,16 @@ from coverrees import (
     x_condition,
 )
 from coverrees.rees import ReesPresentation, StandardMonomialSet, XConditionReport, pi_image
-from oracles import contains, exponent_rules, groebner_criterion, random_graph, split_fibers
+from oracles import (
+    contains,
+    divides_exponents,
+    exponent_rules,
+    groebner_criterion,
+    hibi_generator_count,
+    monomial_product,
+    random_graph,
+    split_fibers,
+)
 
 
 def _present(graph, **kwargs):
@@ -300,11 +310,29 @@ def test_standard_monomials_match_oracle_on_random_graphs():
         u, initial = p.universe, p.basis.initial_ideal
         for k in (1, 2, 3):
             combos = combinations_with_replacement(u.y_vars, k)
-            words = [product(u, map(partial(variable, u), c)) for c in combos]
+            words = [monomial_product(u, map(partial(variable, u), c)) for c in combos]
             outside = sorted((m for m in words if not contains(initial, m)), key=canonical_key)
             assert list(standard_monomials(p, k).members) == outside, (p.generators, k)
             excluded += len(words) - len(outside)
     assert excluded > 0
+
+
+def test_hibi_ideal_powers_match_multichain_counts():
+    # the cover ideal J of cm_bipartite_from_poset(P) is the Hibi ideal of P,
+    # so |G(J^k)| counts the multichains of k order ideals of P, which the
+    # oracle finds from the relation list alone; the priority is shuffled
+    rng = random.Random(5)
+    for _ in range(40):
+        elements = [str(i) for i in range(1, rng.randint(1, 6) + 1)]
+        pairs = [(a, b) for i, a in enumerate(elements) for b in elements[i + 1 :]]
+        relations = [pair for pair in pairs if rng.random() < 0.4]
+        priority = rng.sample(elements, len(elements))
+        ideal = cover_ideal(cm_bipartite_from_poset(Poset(priority, relations)))
+        p = rees_presentation(ideal)
+        for k in (1, 2, 3):
+            count = hibi_generator_count(elements, relations, k)
+            assert len(power(ideal, k).gens) == count, (priority, relations, k)
+            assert len(standard_monomials(p, k).members) == count, (priority, relations, k)
 
 
 def test_random_kernel_bases_verify():
@@ -319,8 +347,8 @@ def test_random_kernel_bases_verify():
             assert pi_image(p, e.lead) == pi_image(p, e.trail)
             for f in elems:
                 if e is not f:
-                    assert not f.lead.divides(e.lead)
-                assert not f.lead.divides(e.trail)
+                    assert not divides_exponents(f.lead.exps, e.lead.exps)
+                assert not divides_exponents(f.lead.exps, e.trail.exps)
 
 
 IMAGE_CORPUS = [
@@ -349,7 +377,7 @@ def _generator_product(p, m):
     x_part = {v: e for v, e in m.exps.items() if v in image_ring.s_vars}
     factors = [image_ring.monomial(x_part), image_ring.monomial({"t": m.y_degree})]
     factors += [image_ring.monomial(u.exps) for u in _repeated_generators(p, m)]
-    return product(image_ring, factors)
+    return monomial_product(image_ring, factors)
 
 
 def _assert_same(got, want):
@@ -369,7 +397,7 @@ def test_images_match_generator_products():
             sm = standard_monomials(p, k)
             for m, mapped in zip(sm.members, sm.mapped_generators):
                 _assert_same(pi_image(p, m), _generator_product(p, m))
-                _assert_same(mapped, product(p.ideal.universe, _repeated_generators(p, m)))
+                _assert_same(mapped, monomial_product(p.ideal.universe, _repeated_generators(p, m)))
 
 
 def _fiber_inputs(presentation):
