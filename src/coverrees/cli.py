@@ -7,14 +7,15 @@ basis and x-condition verdicts), ``analyze`` (full pipeline over powers),
 
 Exit codes: 0 all good, 1 a theorem-predicted property failed to verify,
 2 bad input (a graph that cannot be read, a report that cannot be
-written), 3 a resource bound was exceeded.  Any other exception is a bug
-and propagates.
+written), 3 a resource bound was exceeded, 141 (128 + SIGPIPE) stdout
+closed early.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -31,6 +32,7 @@ from .rees import (
     x_condition,
 )
 from .resolutions import (
+    SEARCH_BOUND,
     betti_table,
     find_linear_quotients_order,
     is_componentwise_linear,
@@ -111,12 +113,6 @@ def cmd_rees(args) -> int:
     return 0
 
 
-def _max_gens(args) -> dict:
-    """``max_generators`` when ``--max-gens`` is given; else each search
-    keeps its own default bound."""
-    return {} if args.max_gens is None else {"max_generators": args.max_gens}
-
-
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     notes: list[str] = []
@@ -136,7 +132,7 @@ def cmd_analyze(args) -> int:
         cert = None
         lq_ok: bool | None = None
         if not degenerate:
-            cert = find_linear_quotients_order(pk.gens, **_max_gens(args))
+            cert = find_linear_quotients_order(pk.gens, max_generators=args.max_gens)
             lq_ok = cert is not None
         entry: dict = {
             "k": k,
@@ -153,7 +149,7 @@ def cmd_analyze(args) -> int:
         if args.betti:
             # a failed search above proved pk has no order; the unit ideal skipped it
             cw = cert.componentwise() if cert else is_componentwise_linear(
-                pk, **_max_gens(args), _no_order=not degenerate
+                pk, max_generators=args.max_gens, _no_order=not degenerate
             )
             entry["linear_resolution"] = cw.linear_resolution
             entry["componentwise_linear"] = cw.componentwise_linear
@@ -253,7 +249,7 @@ def cmd_betti(args) -> int:
     ideal = cover_ideal(g)
     if args.power > 1:
         ideal = power(ideal, args.power)
-    table = betti_table(ideal, **_max_gens(args))
+    table = betti_table(ideal, max_generators=args.max_gens)
     print(table.format_text())
     if args.json:
         doc = {
@@ -289,9 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-gens",
         type=positive_int,
-        default=None,
+        default=SEARCH_BOUND,
         metavar="N",
-        help="bound for generator-sensitive searches (linear quotients, Betti tables)",
+        help="bound on the generators of any linear-quotients search (default %(default)s)",
     )
     parser.add_argument(
         "--gb-degree-cap",
@@ -333,7 +329,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed stdout raises here, not at shutdown
+        return code
+    except BrokenPipeError:  # exit as SIGPIPE would; the null device takes the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ResourceLimitExceeded as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3

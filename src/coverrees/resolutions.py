@@ -57,6 +57,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Linear quotients
 
+SEARCH_BOUND = 24  # generators past which no search runs, the CLI's and the Betti layer's
+
 
 class LinearQuotientsCertificate(_Value):
     """An order of the generators with linear quotients, fields
@@ -132,7 +134,7 @@ def check_linear_quotients(ordered_gens) -> LinearQuotientsCertificate | int:
 
 
 def find_linear_quotients_order(
-    gens, max_generators: int = 24
+    gens, max_generators: int = SEARCH_BOUND
 ) -> LinearQuotientsCertificate | None:
     """Search for a linear-quotients order of the minimal generators of a
     monomial ideal; every order found is in nondecreasing degree.
@@ -141,9 +143,9 @@ def find_linear_quotients_order(
     standard-monomial machinery predicts), then the descending one, each
     stably sorted by degree, then a backtracking search over the orders of
     nondecreasing degree, one degree block at a time
-    (``_degree_block_search``).  ``max_generators`` bounds only that search;
-    the two sweeps are always tried.  The search raises ValueError when one
-    generator divides another.
+    (``_degree_block_search``).  ``max_generators``, one bound for the CLI
+    and the Betti layer, bounds only that search; the sweeps always run.
+    The search raises ValueError when one generator divides another.
 
     The degree sort loses no order (Jahan-Zheng, JCTA 117, 2010), so None
     means no order at all has linear quotients.  Let u_1, ..., u_m have
@@ -235,7 +237,7 @@ def _block_order(block: list[int], below: list[int], table, pool) -> list[int] |
 # ---------------------------------------------------------------------------
 # Upper Koszul complexes and Betti tables
 
-BETTI_MAX_GENERATORS, MAX_MULTIDEGREES = 18, 4096  # Betti-layer search, lcm lattice
+MAX_MULTIDEGREES = 4096  # lcm lattice
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
@@ -400,17 +402,14 @@ def _mapping_cone_table(cert: LinearQuotientsCertificate) -> BettiTable:
     return BettiTable(multigraded, len(cert.ordering))
 
 
-def betti_table(
-    ideal: MonomialIdeal,
-    max_generators: int = BETTI_MAX_GENERATORS,
-) -> BettiTable:
+def betti_table(ideal: MonomialIdeal, max_generators: int = SEARCH_BOUND) -> BettiTable:
     """Exact multigraded Betti numbers.
 
     From the mapping cone of the order ``find_linear_quotients_order``
     finds; only when it proves there is none, from upper Koszul homology.
-    ``max_generators`` bounds that search, so past it only the sweeps can
-    decide and Koszul homology never runs; the lattice bound applies to
-    the Koszul tables, the shift bound to the mapping cone.
+    ``max_generators`` bounds that search, as for the CLI, so past it only
+    the sweeps can decide and Koszul homology never runs; the lattice bound
+    applies to the Koszul tables, the shift bound to the mapping cone.
     """
     cert = find_linear_quotients_order(ideal.gens, max_generators)
     if cert is None:
@@ -438,10 +437,7 @@ def _koszul_betti_table(ideal: MonomialIdeal) -> BettiTable:
     return BettiTable(multigraded, len(ideal.gens))
 
 
-def has_linear_resolution(
-    ideal: MonomialIdeal,
-    max_generators: int = BETTI_MAX_GENERATORS,
-) -> bool:
+def has_linear_resolution(ideal: MonomialIdeal, max_generators: int = SEARCH_BOUND) -> bool:
     """Equigenerated and componentwise linear (``ComponentwiseReport.linear_resolution``)."""
     if not ideal.is_zero and not ideal.is_equigenerated():
         return False
@@ -476,7 +472,7 @@ class ComponentwiseReport(_Value):
 
 def is_componentwise_linear(
     ideal: MonomialIdeal,
-    max_generators: int = BETTI_MAX_GENERATORS,
+    max_generators: int = SEARCH_BOUND,
     *,
     _no_order: bool = False,
 ) -> ComponentwiseReport:
@@ -489,17 +485,16 @@ def is_componentwise_linear(
     degree below: each lower truncation is generated by a prefix of that
     order, which is nondecreasing in degree and so keeps linear quotients
     (Jahan-Zheng, JCTA 117, 2010), giving reg(I_<=i) <= i.  Each truncation
-    above it has been proved to have no order, so its Koszul table gives
-    its regularity; the tables are built only after the searches, so a
-    search that trips its bound costs no table.  A degree j without
+    above it has been proved to have no order, so its Koszul table, built
+    right after that search, gives its regularity.  A degree j without
     generators has I_<=j = I_<=i for the generator degree i just below, so
     it is decided by reg(I_<=i) <= j.  ``max_generators`` bounds each
-    search, as in ``betti_table``.  ``_no_order`` says the caller's own
-    search has already proved that the ideal itself, the top truncation,
-    has no order, so the searches start at the next truncation down.
+    search, as in ``betti_table``; a lower truncation has fewer generators,
+    so only the top's search can trip it.  ``_no_order`` says the caller
+    has searched the ideal, the top truncation, under the same bound and
+    proved it has no order, so the searches start one truncation down.
     """
     regularity: dict[int, int | float] = {}  # bound on reg(I_<=j) per generator degree j
-    no_order: list[tuple[int, list[Monomial]]] = []  # truncations without an order
     for j in sorted({g.total_degree for g in ideal.gens}, reverse=True):
         gens = [g for g in ideal.gens if g.total_degree <= j]
         top = len(gens) == len(ideal.gens)
@@ -507,8 +502,6 @@ def is_componentwise_linear(
         if cert is not None:
             regularity.update((u.total_degree, u.total_degree) for u in cert.ordering)
             break
-        no_order.append((j, gens))
-    for j, gens in no_order:
         regularity[j] = _koszul_betti_table(MonomialIdeal(ideal.universe, gens)).regularity()
     by_degree = {}
     for j in range(min(regularity, default=0), max(regularity, default=-1) + 1):

@@ -245,8 +245,8 @@ def test_analyze_betti_searches_each_power_once(capsys, monkeypatch):
 
 def test_analyze_betti_takes_the_cli_certificate(tmp_path, capsys):
     # path:7 under the priority x3 > x7 > x4 > x5 > x2 > x1 > x6: the square
-    # has 22 generators, past the Betti layer's search bound of 18, and an
-    # order that only the search finds; the CLI's certificate decides it
+    # has 22 generators and an order that only the search finds; the CLI's
+    # certificate decides it, with no second search
     graph = tmp_path / "path7.json"
     edges = [[f"x{i}", f"x{i + 1}"] for i in range(1, 7)]
     labels = ["x3", "x7", "x4", "x5", "x2", "x1", "x6"]
@@ -324,9 +324,9 @@ def test_betti_of_power(tmp_path, capsys):
 
 
 def test_betti_past_the_koszul_bound(tmp_path, capsys):
-    # 36 generators exceed the Betti layer's search bound of 18, but a
-    # degree-sorted sweep gives the square of friendship:3 linear quotients,
-    # so the table comes from the mapping cone
+    # 36 generators exceed the search bound of 24, but a degree-sorted
+    # sweep gives the square of friendship:3 linear quotients, so the table
+    # comes from the mapping cone
     target = tmp_path / "r.json"
     code, _, _ = run(capsys, "--json", str(target), "betti", "friendship:3", "--power", "2")
     assert code == 0
@@ -407,12 +407,14 @@ def test_resource_bounds_exit_3(capsys):
     # the bound guards only the search, which cycle:4 needs: no cheap order works
     assert run(capsys, "--max-gens", "1", "analyze", "cycle:4")[0] == 3
     assert run(capsys, "--gb-degree-cap", "1", "rees", "path:2")[0] == 3
-    # the CLI's search (bound 24) proves that cycle:6 cubed, 22 generators,
-    # has no order; the Betti layer's search of the degree-11 truncation
-    # trips its default generator bound instead of degrading silently
-    code, _, err = run(capsys, "analyze", "cycle:6", "-k", "3", "--betti")
-    assert code == 3
-    assert "19 generators exceed the search bound 18" in err
+    # the CLI and the Betti layer share one default bound, so once the
+    # CLI's search proves that cycle:6 cubed, 22 generators, has no order,
+    # no search of a smaller truncation can trip: every power decides
+    code, out, err = run(capsys, "analyze", "cycle:6", "-k", "3", "--betti")
+    assert code == 0, err
+    verdicts = [line for line in out.splitlines() if line.startswith("k=")]
+    assert [line.split(":")[0] for line in verdicts] == ["k=1", "k=2", "k=3"]
+    assert all(line.endswith(" componentwise-linear=no") for line in verdicts)
     # path:7 squared has linear quotients, so its 22 generators decide
     code, out, _ = run(capsys, "analyze", "path:7", "-k", "2", "--betti")
     assert code == 0
@@ -424,11 +426,11 @@ def test_resource_bounds_exit_3(capsys):
 
 
 def test_search_bound_trips_before_any_koszul_table(capsys, monkeypatch):
-    # the Betti layer searches the truncations of cycle:6 cubed from the top
-    # down before it builds a Koszul table, so the 19-generator degree-11
-    # truncation trips the search bound and the 22-generator cube's table,
-    # which would only decide the top degree, is never built; the tables
-    # are those of the first power (5 and 2 generators) and the square
+    # under --max-gens 18 the CLI's own search of cycle:6 cubed trips on its
+    # 22 generators, so the cube gets no Koszul table; every truncation
+    # below a power has fewer generators than the power, so no search of
+    # the Betti layer trips after a table is built.  The tables are those
+    # of the first power (5 and 2 generators) and the square
     from coverrees import resolutions
 
     tables = []
@@ -439,10 +441,52 @@ def test_search_bound_trips_before_any_koszul_table(capsys, monkeypatch):
         return table(ideal)
 
     monkeypatch.setattr(resolutions, "_koszul_betti_table", counting)
-    code, _, err = run(capsys, "analyze", "cycle:6", "-k", "3", "--betti")
+    code, _, err = run(capsys, "--max-gens", "18", "analyze", "cycle:6", "-k", "3", "--betti")
     assert code == 3
-    assert "19 generators exceed the search bound 18" in err
+    assert "22 generators exceed the search bound 18" in err
     assert tables == [5, 2, 12, 9, 3]
+
+
+def test_one_search_bound_default():
+    # the CLI and every search of the Betti layer default to one bound
+    import inspect
+
+    from coverrees import resolutions
+
+    for function in (
+        resolutions.find_linear_quotients_order,
+        resolutions.betti_table,
+        resolutions.has_linear_resolution,
+        resolutions.is_componentwise_linear,
+    ):
+        default = inspect.signature(function).parameters["max_generators"].default
+        assert default == resolutions.SEARCH_BOUND, function.__name__
+    assert cli_module._build_parser().get_default("max_gens") == resolutions.SEARCH_BOUND
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the read end of the pipe is closed before the child writes, so its
+    # first write fails; it exits as SIGPIPE would and writes no traceback
+    import os
+    import subprocess
+    import sys
+
+    import coverrees
+
+    src = os.path.dirname(os.path.dirname(coverrees.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "coverrees.cli", "rees", "--dump-basis", "path:8"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 141
+    assert child.stderr == b""
 
 
 def test_internal_key_error_is_not_an_input_error(monkeypatch, capsys):

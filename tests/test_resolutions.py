@@ -443,11 +443,14 @@ def _position_faces(ideal, b):
     return faces
 
 
+KOSZUL_CORPUS_BOUND = 18  # generators; fixes the Koszul cross-check corpus and its run time
+
+
 def _koszul_lattice_points():
     """(ideal, b) at every lcm-lattice point of the Koszul tables tier-1
     builds within the bounds: the powers k <= 3 of the corpus below, and
     the small ideals."""
-    bound = resolutions.BETTI_MAX_GENERATORS
+    bound = KOSZUL_CORPUS_BOUND
     ideals = [
         _ideal(U3, "x1*x2", "x1*x3", "x2*x3"),
         _ideal(U4, "x1*x3", "x2*x4"),
@@ -791,7 +794,7 @@ def test_mapping_cone_agrees_with_koszul_homology():
     # mapping-cone table equals the Koszul one, graded and multigraded, and
     # the verdict from the certificate equals the Koszul verdict on every
     # truncation
-    bound = resolutions.BETTI_MAX_GENERATORS
+    bound = KOSZUL_CORPUS_BOUND
     graphs = dict.fromkeys(text for text, _ in HERZOG_TAKAYAMA_CASES + COMPONENTWISE_CASES)
     tables = verdicts = 0
     for text in graphs:
